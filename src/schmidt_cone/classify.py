@@ -47,9 +47,22 @@ def _is_exact(*vals) -> bool:
 
 
 def _check_finite(*vals):
+    """Reject bools (an int subclass, else read as exact 0 or 1) and non-finite reals.
+
+    Anything other than int and Fraction, which are always finite, goes
+    through ``math.isfinite``: numpy scalars of every float width and 0-d
+    arrays included.  Python floats take the first branch, which keeps the
+    per-query float path as cheap as a bare finiteness test.
+    """
     for v in vals:
-        if isinstance(v, float) and not math.isfinite(v):
-            raise ValueError(f"non-finite input {v!r}")
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite input {v!r}")
+        elif type(v) not in (int, Fraction):
+            if isinstance(v, (bool, np.bool_)):
+                raise ValueError(f"boolean input {v!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite input {v!r}")
 
 
 @dataclass(frozen=True)

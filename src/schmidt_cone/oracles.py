@@ -117,17 +117,19 @@ def explicit_frames(d: int, k: int) -> list[tuple[str, Frame]]:
     return out
 
 
-def _haar_unitary_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def random_frames(d: int, k: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-random frames as an (n, d, k) array (first k columns of unitaries).
+
+    Draws the (n, d, d) complex Gaussian of a Haar unitary (Mezzadri 2007) but
+    QR-factors only its first k columns: the Householder reflectors past the
+    k-th leave those columns alone, so the thin QR, with the same phase fix
+    from the diagonal of R, gives the first k columns of that unitary.
+    """
     g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(g[:, :, :k])
     diag = np.einsum("nii->ni", r)
     phase = diag / np.abs(diag)
     return q * phase.conj()[:, None, :]
-
-
-def random_frames(d: int, k: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar-random frames as an (n, d, k) array (first k columns of unitaries)."""
-    return _haar_unitary_batch(d, n, rng)[:, :, :k]
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +157,34 @@ def _frame_operators(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For stacked frames V (n, d, k): the rank-one term k|W><W| and the flip-like term.
 
     The compression matrix decomposes as A I + p * kP + q * Fv with
-    A = (1-p-q)/d, making the (p, q) sweep cheap.
+    A = (1-p-q)/d, making the (p, q) sweep cheap.  With v the kd-vector of
+    entries V[a, i] at index (i, a), kP = |v><v| and Fv is its partial
+    transpose over the d index: Fv[(i, a), (j, b)] = kP[(i, b), (j, a)]
+    (Peres 1996).  For k = 1 the returned Fv is a view of kP, so never write
+    into either in place.
     """
     n, d, k = V.shape
-    w = V.transpose(0, 2, 1).reshape(n, k * d) / np.sqrt(k)
-    kP = k * (w[:, :, None] * w[:, None, :].conj())
-    Fv = np.einsum("naj,nbi->niajb", V.conj(), V).reshape(n, k * d, k * d)
+    v = V.transpose(0, 2, 1).reshape(n, k * d)
+    kP = v[:, :, None] * v[:, None, :].conj()
+    Fv = kP.reshape(n, k, d, k, d).transpose(0, 1, 4, 3, 2).reshape(n, k * d, k * d)
     return kP, Fv
+
+
+def _compressions(kP: np.ndarray, Fv: np.ndarray, p, q, d: int) -> np.ndarray:
+    """A I + p kP + q Fv with A = (1-p-q)/d, as one fresh array.
+
+    p and q are scalars or equal-shape arrays of points; their shape goes in
+    front of the operator stack's.  kP and Fv are only read, so Fv may be a
+    view of kP.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    shape = p.shape + (1,) * (kP.ndim - 2)
+    Ms = p.reshape(shape + (1, 1)) * kP
+    diag = np.einsum("...ii->...i", Ms)
+    diag += ((1.0 - p - q) / d).reshape(shape + (1,))
+    Ms += q.reshape(shape + (1, 1)) * Fv
+    return Ms
 
 
 def _relative_min_eig(Ms: np.ndarray) -> np.ndarray:
@@ -177,11 +200,12 @@ def _all_psd_fast(Ms: np.ndarray, tol: float) -> bool:
     relative shift, so it can only be more permissive than the eigenvalue
     test by at most that norm gap; callers keep a boundary band far wider.
     """
-    scale = np.maximum(1.0, np.sqrt(np.sum(np.abs(Ms) ** 2, axis=(-2, -1)).real))
-    shift = tol * scale
-    eye = np.eye(Ms.shape[-1])
+    scale = np.maximum(1.0, np.sqrt(np.sum(Ms.real**2 + Ms.imag**2, axis=(-2, -1))))
+    shifted = Ms.copy()
+    diag = np.einsum("...ii->...i", shifted)
+    diag += (tol * scale)[..., None]
     try:
-        np.linalg.cholesky(Ms + shift[:, None, None] * eye)
+        np.linalg.cholesky(shifted)
         return True
     except np.linalg.LinAlgError:
         return bool(np.all(_relative_min_eig(Ms) >= -tol))
@@ -218,10 +242,7 @@ def tomiyama_check(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d, k)))
     if n_random > 0:
         V = random_frames(d, k, n_random, rng)
-        kP, Fv = _frame_operators(V)
-        A = (1.0 - p - q) / d
-        Ms = A * np.eye(k * d) + p * kP + q * Fv
-        margins = _relative_min_eig(Ms)
+        margins = _relative_min_eig(_compressions(*_frame_operators(V), p, q, d))
         tried += n_random
         worst = min(worst, float(np.min(margins)))
         bad = np.nonzero(margins < -tol)[0]
@@ -559,36 +580,33 @@ def _grid_task(args) -> dict:
     axis = _grid_axes(grid_n, box)
     P, Q = np.meshgrid(axis, axis, indexing="ij")
     margins = kpos_margin_grid(d, k, P, Q)
-    names_ops = []
-    for name, fr in explicit_frames(d, k):
-        kP, Fv = _frame_operators(fr.vectors[None, :, :])
-        names_ops.append((name, kP[0], Fv[0]))
-    eye_kd = np.eye(k * d)
+    expl_kP, expl_Fv = _frame_operators(
+        np.stack([fr.vectors for _, fr in explicit_frames(d, k)])
+    )
     disagreements = []
     random_only = 0
     checked = 0
     worst_inside = np.inf
     for ix in rows:
-        for iy in range(grid_n):
+        cols = np.nonzero(np.abs(margins[ix]) > band)[0]
+        checked += cols.size
+        # every explicit frame at every non-band point of the row, one eigvalsh call
+        expl_margins = _relative_min_eig(
+            _compressions(expl_kP, expl_Fv, P[ix, cols], Q[ix, cols], d)
+        )
+        for iy, point_margins in zip(cols.tolist(), expl_margins):
             margin = margins[ix, iy]
-            if abs(margin) <= band:
-                continue
-            checked += 1
             p, q = float(P[ix, iy]), float(Q[ix, iy])
-            A = (1.0 - p - q) / d
-            expl = np.stack([A * eye_kd + p * kP + q * Fv for _, kP, Fv in names_ops])
-            expl_margins = _relative_min_eig(expl)
-            expl_violated = bool(np.any(expl_margins < -tol))
+            expl_violated = bool(np.any(point_margins < -tol))
             if margin < 0 and expl_violated:
                 continue  # exterior certified by an explicit frame
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(d, k, ix, iy))
             )
             V = random_frames(d, k, n_random, rng)
-            rkP, rFv = _frame_operators(V)
-            Ms = A * eye_kd + p * rkP + q * rFv
+            Ms = _compressions(*_frame_operators(V), p, q, d)
             if margin > 0:
-                worst_inside = min(worst_inside, float(np.min(expl_margins)))
+                worst_inside = min(worst_inside, float(np.min(point_margins)))
                 ok = not expl_violated and _all_psd_fast(Ms, tol)
                 if not ok:
                     disagreements.append(

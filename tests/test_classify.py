@@ -129,6 +129,35 @@ def test_nan_rejected():
         is_k_positive(3, float("inf"), 0.0, 1)
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.array])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_numpy_values_rejected(dtype, bad):
+    v = dtype(float(bad))
+    with pytest.raises(ValueError):
+        is_k_positive(4, v, 0.1, 2)
+    with pytest.raises(ValueError):
+        is_k_positive(4, 0.1, v, 2)
+    with pytest.raises(ValueError):
+        schmidt_membership(4, v, 0.0, 2)
+    with pytest.raises(ValueError):
+        schmidt_number(4, 0.0, v)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
+def test_bools_rejected(flag):
+    with pytest.raises(ValueError):
+        is_k_positive(4, flag, 0, 2)
+    with pytest.raises(ValueError):
+        k_positivity_max(4, 0, flag)
+    with pytest.raises(ValueError):
+        schmidt_membership(4, flag, 0, 2)
+
+
+def test_finite_numpy_scalars_still_accepted():
+    assert is_k_positive(4, np.float32(0.1), np.float16(0.1), 2).member
+    assert schmidt_number(4, np.float64(0.0), np.int64(0)).schmidt_number == 1
+
+
 def test_block_positivity_wrappers():
     assert k_block_positivity_max(4, 1, 0).max_k == 4
     assert k_block_positivity_max(4, 0, 1).max_k == 1

@@ -27,6 +27,7 @@ from schmidt_cone.oracles import (
     witness_pairing,
     witness_points,
     witness_violation_search,
+    _compressions,
     _frame_operators,
     _overlap_gradient,
 )
@@ -71,15 +72,39 @@ def test_tomiyama_matrix_transpose_k2_not_psd():
 
 
 def test_tomiyama_matrix_decomposition_identity():
-    # literal assembly equals A I + p k|W><W| + q F(v) for any frame
+    # literal assembly equals A I + p k|W><W| + q F(v) for any frame, at every
+    # k (k = 1 makes Fv a view of kP, which the assembly must not write into),
+    # one point at a time and for a row of points in front of the frames
     rng = np.random.default_rng(2)
-    for d, k, p, q in [(3, 2, 0.4, -0.2), (4, 3, -0.1, 0.5), (5, 1, 0.3, 0.3)]:
-        V = random_frames(d, k, 1, rng)
-        fr = Frame(d, k, V[0])
-        lit = tomiyama_matrix(CovariantMap(d, p, q), fr)
-        kP, Fv = _frame_operators(V)
-        fast = (1 - p - q) / d * np.eye(k * d) + p * kP[0] + q * Fv[0]
-        assert np.max(np.abs(lit - fast)) < 1e-12
+    P, Q = np.array([0.4, -0.1, 0.3]), np.array([-0.2, 0.5, 0.3])
+    for d in (3, 4, 5):
+        for k in range(1, d + 1):
+            V = random_frames(d, k, 3, rng)
+            kP, Fv = _frame_operators(V)
+            kP0, Fv0 = kP.copy(), Fv.copy()
+            row = _compressions(kP, Fv, P, Q, d)
+            assert row.shape == (len(P), len(V), k * d, k * d)
+            for j, (p, q) in enumerate(zip(P, Q)):
+                fast = _compressions(kP, Fv, p, q, d)
+                assert np.array_equal(row[j], fast)
+                for i in range(len(V)):
+                    lit = tomiyama_matrix(CovariantMap(d, p, q), Frame(d, k, V[i]))
+                    assert np.max(np.abs(lit - fast[i])) < 1e-12
+            assert np.array_equal(kP, kP0) and np.array_equal(Fv, Fv0)
+
+
+def test_random_frames_are_leading_columns_of_haar_unitaries():
+    # thin QR of the first k columns of the full Gaussian draw, same stream
+    for d in (3, 4, 6):
+        for k in range(1, d + 1):
+            V = random_frames(d, k, 5, np.random.default_rng(d * 10 + k))
+            rng = np.random.default_rng(d * 10 + k)
+            g = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+            U, r = np.linalg.qr(g)
+            diag = np.einsum("nii->ni", r)
+            U = U * (diag / np.abs(diag)).conj()[:, None, :]
+            assert V.shape == (5, d, k)
+            assert np.max(np.abs(V - U[:, :, :k])) < 1e-12
 
 
 def test_tomiyama_check_interior_point():
@@ -300,6 +325,15 @@ def test_grid_agreement_small_scale():
     assert rep.consistent
     assert rep.details["disagreements"] == 0
     assert rep.details["random_only_violations"] == 0
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_grid_agreement_same_report_at_one_and_two_workers(seed):
+    # frames are seeded per point, so scheduling cannot change the report
+    serial = grid_agreement(3, grid_n=20, n_random=20, seed=seed, workers=1).to_dict()
+    pooled = grid_agreement(3, grid_n=20, n_random=20, seed=seed, workers=2).to_dict()
+    assert serial == pooled
+    assert serial["samples"] > 0
 
 
 def test_witness_grid_check_small():
