@@ -21,7 +21,6 @@ from .geometry import (
     Conic,
     HalfPlane,
     RegionBoundary,
-    classify_conic,
     conic_through_five_points,
     dual_conic,
     dual_tangency_points,
@@ -53,7 +52,6 @@ from .symmetry import (
     CovariantMap,
     InvariantCoordinates,
     InvariantState,
-    haar_orthogonal,
     twirl_exact,
     twirl_monte_carlo,
 )

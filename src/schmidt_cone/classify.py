@@ -12,6 +12,10 @@ evaluation modes:
 Margins are signed slack surrogates: the minimum slack across the active
 constraint system, positive inside.  For the union-shaped region (filled
 ellipse OR the five-line system) the margin is the max of the two parts.
+
+The constraint systems themselves are not written here: they live in the
+region table of ``geometry``, and ``geometry.region_margin`` evaluates them
+for the scalar decisions and the vectorized margin grids alike.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import dual_conic, kpos_conic, region_case
+from .geometry import _is_exact, region_margin
 
 __all__ = [
     "MembershipVerdict",
@@ -40,10 +44,6 @@ __all__ = [
 ]
 
 BOUNDARY_TOL = 1e-9
-
-
-def _is_exact(*vals) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in vals)
 
 
 def _check_finite(*vals):
@@ -101,34 +101,6 @@ def _verdict(margin, exact: bool, tol: float) -> MembershipVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _kpos_slacks(d: int, p, q, k: int) -> list:
-    case = region_case(d, k)
-    if case == 1:
-        return [
-            1 - p + (d - 1) * q,
-            1 - q + (d - 1) * p,
-            1 - p - q,
-            (d - 1) * (p + q) + 1,
-        ]
-    if case == 4:
-        return [
-            1 - p + (d - 1) * q,
-            1 - p - (d + 1) * q,
-            (d - 1) * ((d + 1) * p + q) + 1,
-        ]
-    slacks = [
-        1 - p + (d - 1) * q,
-        1 - p - (d + 1) * q,
-        (k * d - 1) * p + (d - 1) * q + 1,
-    ]
-    if case == 2:
-        slacks.append(1 - q + (k * d - 1) * p)
-    else:
-        conic = kpos_conic(d, k, exact=_is_exact(p, q))
-        slacks.append(-conic(p, q))
-    return slacks
-
-
 def is_k_positive(d: int, p, q, k: int, tol: float = BOUNDARY_TOL) -> MembershipVerdict:
     """Membership of (p, q) in the k-positivity region.
 
@@ -137,8 +109,7 @@ def is_k_positive(d: int, p, q, k: int, tol: float = BOUNDARY_TOL) -> Membership
     reading is cross-checked by the frame-compression oracle suite.
     """
     _check_finite(p, q)
-    slacks = _kpos_slacks(d, p, q, k)
-    return _verdict(min(slacks), _is_exact(p, q), tol)
+    return _verdict(region_margin("map", d, k, p, q), _is_exact(p, q), tol)
 
 
 @dataclass(frozen=True)
@@ -165,39 +136,6 @@ def k_positivity_max(d: int, p, q, tol: float = BOUNDARY_TOL) -> KPositivityProf
 # ---------------------------------------------------------------------------
 
 
-def _schmidt_linear_slacks(d: int, a, b, k: int) -> list:
-    case = region_case(d, k)
-    if case == 1:
-        return [
-            (d - 1) * ((d + 1) * a + b) + 1,
-            1 - (d + 1) * a - b,
-            (d - 1) * (a + (d + 1) * b) + 1,
-            1 - a - (d + 1) * b,
-        ]
-    if case == 2:
-        return [
-            (d - 1) * ((d + 1) * a + b) + 1,
-            (k * d - 1) - (d - 1) * ((d + 1) * a + b),
-            1 - a - (d + 1) * b,
-            (d - 1) * ((k * d + k - 1) * b - (d - k + 1) * a) + (k * d + k - 1),
-        ]
-    if case == 3:
-        # fifth line: chord through the two arc endpoints; constant
-        # (d^2 + kd + k - 3)/(d - 1), cleared of denominators
-        return [
-            (d - 1) * ((d + 1) * a + b) + 1,
-            (k * d - 1) - (d - 1) * ((d + 1) * a + b),
-            1 - a - (d + 1) * b,
-            1 - a + (d - 1) * b,
-            (d * d + k * d + k - 3) - (d - 1) * ((3 * d - k + 3) * a - (k * d + k - 3) * b),
-        ]
-    return [
-        1 - a + (d - 1) * b,
-        1 - a - (d + 1) * b,
-        (d - 1) * ((d + 1) * a + b) + 1,
-    ]
-
-
 def schmidt_membership(d: int, a, b, k: int, tol: float = BOUNDARY_TOL) -> MembershipVerdict:
     """Membership of (a, b) in the Schmidt-number-<=k region.
 
@@ -205,13 +143,7 @@ def schmidt_membership(d: int, a, b, k: int, tol: float = BOUNDARY_TOL) -> Membe
     five-line system, so the margin is the max of the two sub-margins.
     """
     _check_finite(a, b)
-    exact = _is_exact(a, b)
-    linear = min(_schmidt_linear_slacks(d, a, b, k))
-    if region_case(d, k) != 3:
-        return _verdict(linear, exact, tol)
-    conic = dual_conic(d, k, exact=exact)
-    margin = max(linear, -conic(a, b))
-    return _verdict(margin, exact, tol)
+    return _verdict(region_margin("state", d, k, a, b), _is_exact(a, b), tol)
 
 
 @dataclass(frozen=True)
@@ -286,69 +218,15 @@ def k_superpositivity_max(d: int, p, q, tol: float = BOUNDARY_TOL) -> Superposit
 
 def kpos_margin_grid(d: int, k: int, P, Q) -> np.ndarray:
     """Elementwise k-positivity margin over float arrays P, Q."""
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    case = region_case(d, k)
-    if case == 1:
-        slacks = [
-            1 - P + (d - 1) * Q,
-            1 - Q + (d - 1) * P,
-            1 - P - Q,
-            (d - 1) * (P + Q) + 1,
-        ]
-    elif case == 4:
-        slacks = [
-            1 - P + (d - 1) * Q,
-            1 - P - (d + 1) * Q,
-            (d - 1) * ((d + 1) * P + Q) + 1,
-        ]
-    else:
-        slacks = [
-            1 - P + (d - 1) * Q,
-            1 - P - (d + 1) * Q,
-            (k * d - 1) * P + (d - 1) * Q + 1,
-        ]
-        if case == 2:
-            slacks.append(1 - Q + (k * d - 1) * P)
-        else:
-            conic = kpos_conic(d, k)
-            slacks.append(-conic(P, Q))
-    return np.minimum.reduce(slacks)
+    return _margin_grid("map", d, k, P, Q)
 
 
 def schmidt_margin_grid(d: int, k: int, A, B) -> np.ndarray:
     """Elementwise Schmidt-<=k membership margin over float arrays A, B."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    case = region_case(d, k)
-    if case == 1:
-        slacks = [
-            (d - 1) * ((d + 1) * A + B) + 1,
-            1 - (d + 1) * A - B,
-            (d - 1) * (A + (d + 1) * B) + 1,
-            1 - A - (d + 1) * B,
-        ]
-    elif case == 2:
-        slacks = [
-            (d - 1) * ((d + 1) * A + B) + 1,
-            (k * d - 1) - (d - 1) * ((d + 1) * A + B),
-            1 - A - (d + 1) * B,
-            (d - 1) * ((k * d + k - 1) * B - (d - k + 1) * A) + (k * d + k - 1),
-        ]
-    elif case == 3:
-        slacks = [
-            (d - 1) * ((d + 1) * A + B) + 1,
-            (k * d - 1) - (d - 1) * ((d + 1) * A + B),
-            1 - A - (d + 1) * B,
-            1 - A + (d - 1) * B,
-            (d * d + k * d + k - 3) - (d - 1) * ((3 * d - k + 3) * A - (k * d + k - 3) * B),
-        ]
-        conic = dual_conic(d, k, exact=False)
-        return np.maximum(np.minimum.reduce(slacks), -conic(A, B))
-    else:
-        slacks = [
-            1 - A + (d - 1) * B,
-            1 - A - (d + 1) * B,
-            (d - 1) * ((d + 1) * A + B) + 1,
-        ]
-    return np.minimum.reduce(slacks)
+    return _margin_grid("state", d, k, A, B)
+
+
+def _margin_grid(kind: str, d: int, k: int, X, Y) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    return region_margin(kind, d, k, X, Y, np.minimum.reduce, np.maximum)

@@ -37,27 +37,16 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _per_k_payload(per_k) -> list[dict]:
-    return [
-        {"k": k, "status": v.status, "margin": _num(v.margin)}
-        for k, v in enumerate(per_k, start=1)
-    ]
+def _emit_classification(args, head: dict, per_k) -> None:
+    per_k = [{"k": k, "status": v.status, "margin": _num(v.margin)} for k, v in enumerate(per_k, start=1)]
+    _emit({"d": args.d, **head, "per_k": per_k, "mode": "exact" if args.exact else "float"})
 
 
 def _cmd_classify_map(args) -> int:
     p = _parse_scalar(args.p, args.exact)
     q = _parse_scalar(args.q, args.exact)
     prof = classify.k_positivity_max(args.d, p, q, tol=args.tol)
-    _emit(
-        {
-            "d": args.d,
-            "p": _num(p),
-            "q": _num(q),
-            "max_k": prof.max_k,
-            "per_k": _per_k_payload(prof.per_k),
-            "mode": "exact" if args.exact else "float",
-        }
-    )
+    _emit_classification(args, {"p": _num(p), "q": _num(q), "max_k": prof.max_k}, prof.per_k)
     return 0
 
 
@@ -65,17 +54,9 @@ def _cmd_classify_state(args) -> int:
     a = _parse_scalar(args.a, args.exact)
     b = _parse_scalar(args.b, args.exact)
     cls = classify.schmidt_number(args.d, a, b, tol=args.tol)
-    _emit(
-        {
-            "d": args.d,
-            "a": _num(a),
-            "b": _num(b),
-            "schmidt_number": cls.schmidt_number if cls.is_state else "not_a_state",
-            "boundary": cls.boundary,
-            "per_k": _per_k_payload(cls.per_k),
-            "mode": "exact" if args.exact else "float",
-        }
-    )
+    sn = cls.schmidt_number if cls.is_state else "not_a_state"
+    head = {"a": _num(a), "b": _num(b), "schmidt_number": sn, "boundary": cls.boundary}
+    _emit_classification(args, head, cls.per_k)
     return 0
 
 
@@ -174,29 +155,20 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_conic(args) -> int:
+    conic = (geometry.dual_conic if args.dual else geometry.kpos_conic)(args.d, args.k, exact=True)
+    payload = {
+        "d": args.d,
+        "k": args.k,
+        "dual": args.dual,
+        "coefficients": [int(c) for c in conic.coefficients()],
+        "classification": conic.classify(),
+    }
     if args.dual:
-        conic = geometry.dual_conic(args.d, args.k, exact=True)
         pts = geometry.dual_tangency_points(args.d, args.k, exact=True)
         lines = geometry.dual_tangent_lines(args.d, args.k)
-        payload = {
-            "d": args.d,
-            "k": args.k,
-            "dual": True,
-            "coefficients": [int(c) for c in conic.coefficients()],
-            "classification": conic.classify(),
-            "tangency_points": [[str(x), str(y)] for x, y in pts],
-            "tangency_points_float": [[float(x), float(y)] for x, y in pts],
-            "tangent_lines": [{"nx": h.nx, "ny": h.ny, "c": h.c} for h in lines],
-        }
-    else:
-        conic = geometry.kpos_conic(args.d, args.k, exact=True)
-        payload = {
-            "d": args.d,
-            "k": args.k,
-            "dual": False,
-            "coefficients": [int(c) for c in conic.coefficients()],
-            "classification": conic.classify(),
-        }
+        payload["tangency_points"] = [[str(x), str(y)] for x, y in pts]
+        payload["tangency_points_float"] = [[float(x), float(y)] for x, y in pts]
+        payload["tangent_lines"] = [{"nx": h.nx, "ny": h.ny, "c": h.c} for h in lines]
     _emit(payload)
     return 0
 
@@ -285,7 +257,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_merge_negative_scalars(list(argv)))
     try:
         return args.func(args)
-    except (ValueError, AssertionError, ArithmeticError) as e:
+    except ValueError as e:  # an argument outside the domain, such as d < 2
+        sys.stderr.write(f"error: {e}\n")
+        return 2
+    except (AssertionError, ArithmeticError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 3
 

@@ -1,15 +1,22 @@
 """Plane geometry of the positivity and Schmidt-number regions.
 
-Implements the boundary conic of the k-positivity region, conic
+The region facts live in one table (section "The region table"): for each
+(kind, case) the boundary lines in traversal order, each written once as its
+affine slack, plus the case-3 conic and the case-3 state chord.  Everything
+else is derived from it: the membership margins of ``classify`` (scalar and
+grid alike, through ``region_margin``), the corners (exact intersections of
+consecutive lines; only the ends of the map's case-3 arc are data), the
+boundaries and the five tangents of the dual ellipse.
+
+Also implements the boundary conic of the k-positivity region, conic
 classification, the pairing-induced linear isomorphism between witness and
 state coordinates, pole-polar duality, five-point conic fitting (exact
-rational or floating point), and region boundary construction with arc
-sampling for plots.
+rational or floating point), and arc sampling for plots.
 
-Exact mode: vertex formulas, the pairing map and the five-point fit are
-evaluated in rational arithmetic whenever the inputs are rationals, so
-boundary classification never depends on rounding.  Arc sampling is always
-floating point.
+Exact mode: corners, the pairing map and the five-point fit are evaluated in
+rational arithmetic whenever the inputs are rationals, so boundary
+classification never depends on rounding.  Arc sampling is always floating
+point.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ __all__ = [
     "HalfPlane",
     "Arc",
     "RegionBoundary",
-    "classify_conic",
     "kpos_conic",
     "pairing_map",
     "pairing_map_inv",
@@ -38,6 +44,7 @@ __all__ = [
     "dual_conic",
     "tangency_discriminant",
     "region_case",
+    "region_margin",
     "map_region_vertices",
     "state_region_vertices",
     "map_region_boundary",
@@ -51,11 +58,15 @@ __all__ = [
 
 
 def _is_exact(*vals) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in vals)
+    """Whether every value is an int or a Fraction, so arithmetic on them is exact.
 
-
-def _q(num: int, den: int, exact: bool):
-    return Fraction(num, den) if exact else num / den
+    A plain loop rather than ``all`` over a generator: every scalar
+    classification calls it, and the loop costs about half as much.
+    """
+    for v in vals:
+        if not isinstance(v, (int, Fraction)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +148,6 @@ class Conic:
         if float(disc) > tol * scale**2:
             return "hyperbola"
         return "parabola"
-
-
-def classify_conic(conic: Conic, tol: float = 1e-12) -> str:
-    return conic.classify(tol)
 
 
 def kpos_conic(d: int, k: int, exact: bool = False) -> Conic:
@@ -330,22 +337,18 @@ def dual_tangency_points(d: int, k: int, exact: bool = True) -> list[tuple]:
 
     They are the images of the five rational points of the positivity conic
     (in witness coordinates) under pole-of-tangent followed by the inverse
-    pairing map.
+    pairing map.  The last two are the ends of the state arc, corners of the
+    region.
     """
     _check_case3(d, k)
     D2 = d * d + d - 2
+    corners = _vertices("state", d, k, True)
     pts = [
         (Fraction(-d, k * D2), Fraction(d * d - k * d + d - 2 * k, k * D2)),
         (Fraction(d * d - k * d + d - k - 1, D2), Fraction(-(d - k + 1), D2)),
         (Fraction(2 * k * d - d * d + 2 * k - d - 2, D2), Fraction(2 * d - 2 * k, D2)),
-        (
-            Fraction(k * k * d + k * k + d - 3 * k, k * D2),
-            Fraction(-(d - k + 1) * (d - k), k * D2),
-        ),
-        (
-            Fraction(d, 3 * d - 2 * k),
-            Fraction(-(2 * d - 2 * k), (d - 1) * (3 * d - 2 * k)),
-        ),
+        corners[-1],
+        corners[0],
     ]
     if exact:
         return pts
@@ -359,13 +362,7 @@ def dual_tangent_lines(d: int, k: int) -> list[HalfPlane]:
     the <= side of each.
     """
     _check_case3(d, k)
-    return [
-        HalfPlane(-(d + 1) * (d - 1), -(d - 1), 1),  # (d+1)x + y >= -1/(d-1)
-        HalfPlane(-(d - 1), -(d + 1) * (d - 1), 1),  # x + (d+1)y >= -1/(d-1)
-        HalfPlane(1, d + 1, 1),  # x + (d+1)y <= 1
-        HalfPlane((d + 1) * (d - 1), d - 1, k * d - 1),  # (d+1)x + y <= (kd-1)/(d-1)
-        HalfPlane(1, -(d - 1), 1),  # x - (d-1)y <= 1
-    ]
+    return _halfplanes(_DUAL_TANGENTS, d, k)
 
 
 @lru_cache(maxsize=None)
@@ -413,6 +410,167 @@ def tangency_discriminant(conic: Conic, line: HalfPlane):
 
 
 # ---------------------------------------------------------------------------
+# The region table
+# ---------------------------------------------------------------------------
+
+
+def region_case(d: int, k: int) -> int:
+    """Which of the four geometric cases (k, d) falls in: 1, 2, 3 or 4."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    if not 1 <= k <= d:
+        raise ValueError(f"k={k} out of range 1..{d}")
+    if k == 1:
+        return 1
+    if 2 * k <= d:
+        return 2
+    if k < d:
+        return 3
+    return 4
+
+
+# Every boundary line of every region, once, as its affine slack s(d, k, x, y)
+# >= 0 in cleared-denominator form; (x, y) is (p, q) for maps and (a, b) for
+# states.  Only + - * appear, so a slack is exact on int/Fraction, rounds the
+# same on floats and works elementwise on arrays.
+_L1 = "1 - x + (d - 1) * y"  # x - (d-1)y <= 1
+_L2 = "1 - y + (d - 1) * x"  # y - (d-1)x <= 1
+_L3 = "1 - x - y"  # x + y <= 1
+_L4 = "(d - 1) * (x + y) + 1"  # (d-1)(x + y) >= -1
+_L5 = "1 - x - (d + 1) * y"  # x + (d+1)y <= 1
+_L6 = "(k * d - 1) * x + (d - 1) * y + 1"  # (kd-1)x + (d-1)y >= -1
+_L7 = "1 - y + (k * d - 1) * x"  # y - (kd-1)x <= 1
+_L8 = "(d - 1) * ((d + 1) * x + y) + 1"  # (d-1)((d+1)x + y) >= -1
+_L9 = "1 - (d + 1) * x - y"  # (d+1)x + y <= 1
+_L10 = "(d - 1) * (x + (d + 1) * y) + 1"  # (d-1)(x + (d+1)y) >= -1
+_L11 = "(k * d - 1) - (d - 1) * ((d + 1) * x + y)"  # (d-1)((d+1)x + y) <= kd-1
+# (d-1)((d-k+1)x - (kd+k-1)y) <= kd+k-1
+_L12 = "(d - 1) * ((k * d + k - 1) * y - (d - k + 1) * x) + (k * d + k - 1)"
+# (d-1)((3d-k+3)x - (kd+k-3)y) <= d^2+kd+k-3, the chord between the state arc's ends
+_CHORD = "(d * d + k * d + k - 3) - (d - 1) * ((3 * d - k + 3) * x - (k * d + k - 3) * y)"
+
+
+def _slacks(*lines):
+    """One function (d, k, x, y) -> [the slack of each line, in order].
+
+    Compiled from the table so that evaluating a region costs one call, not
+    one per line.
+    """
+    return eval(f"lambda d, k, x, y: [{', '.join(lines)}]")
+
+
+def _halfplanes(slacks, d: int, k: int) -> list[HalfPlane]:
+    """The lines of ``slacks`` as n.x <= c, read off at (0, 0), (1, 0) and (0, 1)."""
+    at = zip(slacks(d, k, 0, 0), slacks(d, k, 1, 0), slacks(d, k, 0, 1))
+    return [HalfPlane(c - cx, c - cy, c) for c, cx, cy in at]
+
+
+# the five tangents of the dual ellipse, in the order of dual_tangency_points
+_DUAL_TANGENTS = _slacks(_L8, _L10, _L5, _L11, _L1)
+
+
+@dataclass(frozen=True)
+class _Region:
+    """One (kind, case) row: corner i is where lines i-1 and i meet (cyclically).
+
+    A ``conic`` (``(d, k, exact) -> Conic``) adds the slack -conic(x, y).  It
+    cuts the map region, whose lines then run as an open chain from the arc's
+    ``end`` to its ``start`` (both data).  The state region is the polygon
+    united with the filled ellipse (``union``); its arc replaces the last
+    line, the chord.  ``anchor`` is a point on the conic away from the arc.
+    """
+
+    slacks: object
+    conic: object = None
+    union: bool = False
+    ends: object = None
+    anchor: object = None
+
+
+def _region(*lines, **conic) -> _Region:
+    return _Region(_slacks(*lines), **conic)
+
+
+_TRIANGLE = _region(_L1, _L8, _L5)  # k = d: the map and state regions coincide
+_REGIONS = {
+    ("map", 1): _region(_L1, _L4, _L2, _L3),
+    ("map", 2): _region(_L1, _L6, _L7, _L5),
+    ("map", 3): _region(
+        _L5,
+        _L1,
+        _L6,
+        conic=lambda d, k, exact: kpos_conic(d, k, exact),
+        ends=lambda d, k: (
+            (Fraction(-1, k * d - 1), Fraction(0)),
+            (Fraction(-2, d * d + d - 2), Fraction(d, d * d + d - 2)),
+        ),
+        anchor=lambda d, k: (1.0, 0.0),
+    ),
+    ("map", 4): _TRIANGLE,
+    ("state", 1): _region(_L5, _L9, _L10, _L8),
+    ("state", 2): _region(_L5, _L11, _L12, _L8),
+    ("state", 3): _region(
+        _L1,
+        _L8,
+        _L5,
+        _L11,
+        _CHORD,
+        conic=lambda d, k, exact: dual_conic(d, k, exact),
+        union=True,
+        anchor=lambda d, k: dual_tangency_points(d, k, exact=False)[0],
+    ),
+    ("state", 4): _TRIANGLE,
+}
+
+
+def region_margin(kind: str, d: int, k: int, x, y, lowest=min, highest=max):
+    """Signed margin of (x, y) in the (kind, d, k) region, >= 0 on members.
+
+    The smallest line slack, cut by the conic slack for maps and united with
+    it for states.  Exact for int/Fraction inputs.  ``lowest`` reduces a list
+    and ``highest`` a pair: min and max for scalars, np.minimum.reduce and
+    np.maximum for arrays.
+    """
+    row = _REGIONS[kind, region_case(d, k)]
+    slacks = row.slacks(d, k, x, y)
+    if row.conic is None:
+        return lowest(slacks)
+    inner = -row.conic(d, k, _is_exact(x, y))(x, y)
+    if row.union:
+        return highest(lowest(slacks), inner)
+    slacks.append(inner)
+    return lowest(slacks)
+
+
+def _meet(g: HalfPlane, h: HalfPlane) -> tuple:
+    """Exact intersection of the boundary lines of two half-planes."""
+    det = g.nx * h.ny - h.nx * g.ny
+    return (Fraction(g.c * h.ny - h.c * g.ny, det), Fraction(g.nx * h.c - h.nx * g.c, det))
+
+
+@lru_cache(maxsize=None)
+def _vertices(kind: str, d: int, k: int, exact: bool) -> tuple:
+    row = _REGIONS[kind, region_case(d, k)]
+    lines = _halfplanes(row.slacks, d, k)
+    if row.ends is None:
+        pts = [_meet(lines[i - 1], lines[i]) for i in range(len(lines))]
+    else:
+        start, end = row.ends(d, k)
+        pts = [end, *(_meet(g, h) for g, h in zip(lines, lines[1:])), start]
+    return tuple(pts) if exact else tuple((float(x), float(y)) for x, y in pts)
+
+
+def map_region_vertices(d: int, k: int, exact: bool = False) -> list[tuple]:
+    """Corner points of the k-positivity region, in traversal order."""
+    return list(_vertices("map", d, k, exact))
+
+
+def state_region_vertices(d: int, k: int, exact: bool = False) -> list[tuple]:
+    """Corner points of the Schmidt-number-<=k region, in traversal order."""
+    return list(_vertices("state", d, k, exact))
+
+
+# ---------------------------------------------------------------------------
 # Region boundaries
 # ---------------------------------------------------------------------------
 
@@ -439,93 +597,6 @@ class RegionBoundary:
     vertices: tuple
     arcs: tuple = ()
     closed: bool = True
-
-
-def region_case(d: int, k: int) -> int:
-    """Which of the four geometric cases (k, d) falls in: 1, 2, 3 or 4."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if not 1 <= k <= d:
-        raise ValueError(f"k={k} out of range 1..{d}")
-    if k == 1:
-        return 1
-    if 2 * k <= d:
-        return 2
-    if k < d:
-        return 3
-    return 4
-
-
-def map_region_vertices(d: int, k: int, exact: bool = False) -> list[tuple]:
-    """Corner points of the k-positivity region, in traversal order."""
-    case = region_case(d, k)
-    if case == 1:
-        return [
-            (_q(1, 1, exact), _q(0, 1, exact)),
-            (_q(0, 1, exact), _q(-1, d - 1, exact)),
-            (_q(-1, d - 1, exact), _q(0, 1, exact)),
-            (_q(0, 1, exact), _q(1, 1, exact)),
-        ]
-    if case == 2:
-        return [
-            (_q(1, 1, exact), _q(0, 1, exact)),
-            (_q(0, 1, exact), _q(-1, d - 1, exact)),
-            (_q(-1, k * d - 1, exact), _q(0, 1, exact)),
-            (_q(-1, k * d + k - 1, exact), _q(k, k * d + k - 1, exact)),
-        ]
-    D2 = d * d + d - 2
-    if case == 3:
-        # arc of the positivity conic closes the boundary from the last vertex
-        # back to the first, through the second quadrant
-        return [
-            (_q(-2, D2, exact), _q(d, D2, exact)),
-            (_q(1, 1, exact), _q(0, 1, exact)),
-            (_q(0, 1, exact), _q(-1, d - 1, exact)),
-            (_q(-1, k * d - 1, exact), _q(0, 1, exact)),
-        ]
-    return [
-        (_q(1, 1, exact), _q(0, 1, exact)),
-        (_q(0, 1, exact), _q(-1, d - 1, exact)),
-        (_q(-2, D2, exact), _q(d, D2, exact)),
-    ]
-
-
-def state_region_vertices(d: int, k: int, exact: bool = False) -> list[tuple]:
-    """Corner points of the Schmidt-number-<=k region, in traversal order."""
-    case = region_case(d, k)
-    D2 = d * d + d - 2
-    if case == 1:
-        return [
-            (_q(-2, D2, exact), _q(d, D2, exact)),
-            (_q(1, d + 2, exact), _q(1, d + 2, exact)),
-            (_q(d, D2, exact), _q(-2, D2, exact)),
-            (_q(-1, D2, exact), _q(-1, D2, exact)),
-        ]
-    if case == 2:
-        return [
-            (_q(-2, D2, exact), _q(d, D2, exact)),
-            (_q(k * d + k - 2, D2, exact), _q(d - k, D2, exact)),
-            (_q(k * d + k - 1, D2, exact), _q(-(k + 1), D2, exact)),
-            (_q(0, 1, exact), _q(-1, d - 1, exact)),
-        ]
-    if case == 3:
-        # traversal ends at the first arc endpoint; the elliptic arc returns
-        # to the first vertex
-        return [
-            (_q(d, 3 * d - 2 * k, exact), _q(-(2 * d - 2 * k), (d - 1) * (3 * d - 2 * k), exact)),
-            (_q(0, 1, exact), _q(-1, d - 1, exact)),
-            (_q(-2, D2, exact), _q(d, D2, exact)),
-            (_q(k * d + k - 2, D2, exact), _q(d - k, D2, exact)),
-            (
-                _q(k * k * d + k * k + d - 3 * k, k * D2, exact),
-                _q(-(d - k + 1) * (d - k), k * D2, exact),
-            ),
-        ]
-    return [
-        (_q(1, 1, exact), _q(0, 1, exact)),
-        (_q(0, 1, exact), _q(-1, d - 1, exact)),
-        (_q(-2, D2, exact), _q(d, D2, exact)),
-    ]
 
 
 def conic_arc_points(conic: Conic, start, end, n: int, anchor) -> list[tuple]:
@@ -565,30 +636,25 @@ def conic_arc_points(conic: Conic, start, end, n: int, anchor) -> list[tuple]:
     return pts
 
 
-def map_region_boundary(d: int, k: int, arc_samples: int = 64) -> RegionBoundary:
-    """Boundary of the k-positivity region with the conic arc sampled."""
-    case = region_case(d, k)
-    verts = tuple(map_region_vertices(d, k, exact=False))
-    if case != 3:
+def _region_boundary(kind: str, d: int, k: int, arc_samples: int) -> RegionBoundary:
+    row = _REGIONS[kind, region_case(d, k)]
+    verts = _vertices(kind, d, k, False)
+    if row.conic is None:
         return RegionBoundary(vertices=verts)
-    conic = kpos_conic(d, k)
-    samples = conic_arc_points(conic, verts[-1], verts[0], arc_samples, anchor=(1.0, 0.0))
+    conic = row.conic(d, k, False)
+    samples = conic_arc_points(conic, verts[-1], verts[0], arc_samples, anchor=row.anchor(d, k))
     arc = Arc(conic=conic, start=verts[-1], end=verts[0], samples=tuple(samples))
     return RegionBoundary(vertices=verts, arcs=(arc,))
+
+
+def map_region_boundary(d: int, k: int, arc_samples: int = 64) -> RegionBoundary:
+    """Boundary of the k-positivity region with the conic arc sampled."""
+    return _region_boundary("map", d, k, arc_samples)
 
 
 def state_region_boundary(d: int, k: int, arc_samples: int = 64) -> RegionBoundary:
     """Boundary of the Schmidt-number-<=k region with the elliptic arc sampled."""
-    case = region_case(d, k)
-    verts = tuple(state_region_vertices(d, k, exact=False))
-    if case != 3:
-        return RegionBoundary(vertices=verts)
-    conic = dual_conic(d, k, exact=False)
-    # anchor on the complementary part of the ellipse (first tangency point)
-    anchor = dual_tangency_points(d, k, exact=False)[0]
-    samples = conic_arc_points(conic, verts[-1], verts[0], arc_samples, anchor=anchor)
-    arc = Arc(conic=conic, start=verts[-1], end=verts[0], samples=tuple(samples))
-    return RegionBoundary(vertices=verts, arcs=(arc,))
+    return _region_boundary("state", d, k, arc_samples)
 
 
 def _traversal_points(rb: RegionBoundary) -> list[tuple]:

@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "as_hermitian",
     "is_psd",
-    "min_eigenvalue",
     "schmidt_spectrum",
     "pairing",
     "max_entangled",
@@ -35,12 +34,6 @@ def as_hermitian(X, tol: float = 1e-12) -> np.ndarray:
     if dev > tol * scale:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return X
-
-
-def min_eigenvalue(H) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    H = as_hermitian(H)
-    return float(np.linalg.eigvalsh(H)[0])
 
 
 def is_psd(H, tol: float = 1e-9) -> bool:

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .classify import is_k_positive, kpos_margin_grid, schmidt_margin_grid
-from .geometry import map_region_boundary, map_region_vertices, state_region_vertices
+from .geometry import _is_exact, map_region_boundary, state_region_vertices
 from .linalg import as_hermitian
 from .symmetry import CovariantMap, InvariantState, twirl_exact, twirl_monte_carlo
 
@@ -349,10 +349,21 @@ def block_conditions(d: int, p, q, k: int, xi1sq) -> bool:
     """
     if not 0 <= xi1sq <= 1:
         raise ValueError("xi1sq must lie in [0, 1]")
-    exact = all(isinstance(v, (int, Fraction)) for v in (p, q, xi1sq))
-    A = Fraction(1 - p - q, d) if exact else (1 - p - q) / d
+    return all(c >= 0 for c in _block_checks(d, p, q, k, xi1sq))
+
+
+def block_conditions_grid(d: int, P, Q, k: int, xi1sq: float) -> np.ndarray:
+    """Vectorized block_conditions over float arrays (strict >= 0)."""
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    return np.logical_and.reduce([c >= 0 for c in _block_checks(d, P, Q, k, xi1sq)])
+
+
+def _block_checks(d: int, p, q, k: int, xi1sq) -> tuple:
+    """The six block-condition values; exact for int/Fraction, elementwise on arrays."""
+    A = Fraction(1 - p - q, d) if _is_exact(p, q, xi1sq) else (1 - p - q) / d
     pk = p * k
-    checks = (
+    return (
         A - q,
         A + q,
         A,
@@ -360,25 +371,22 @@ def block_conditions(d: int, p, q, k: int, xi1sq) -> bool:
         A + pk - pk * xi1sq,
         (A + q) * (A + pk) - pk * q * xi1sq,
     )
-    return all(c >= 0 for c in checks)
-
-
-def block_conditions_grid(d: int, P, Q, k: int, xi1sq: float) -> np.ndarray:
-    """Vectorized block_conditions over float arrays (strict >= 0)."""
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    A = (1.0 - P - Q) / d
-    pk = P * k
-    out = (A - Q >= 0) & (A + Q >= 0) & (A >= 0)
-    out &= A + Q + pk * xi1sq >= 0
-    out &= A + pk - pk * xi1sq >= 0
-    out &= (A + Q) * (A + pk) - pk * Q * xi1sq >= 0
-    return out
 
 
 # ---------------------------------------------------------------------------
 # Witness pairing and search
 # ---------------------------------------------------------------------------
+
+
+def _witness_form(d: int, a, b, p, q):
+    """The extreme-witness form a c1 + b c2 + 1/(d-1), c1 = (d+1)p + q, c2 = p + (d+1)q.
+
+    Exact for int/Fraction inputs; on arrays it is elementwise, broadcasting
+    state points (a, b) against witness points (p, q).
+    """
+    c1 = (d + 1) * p + q
+    c2 = p + (d + 1) * q
+    return a * c1 + b * c2 + (Fraction(1, d - 1) if _is_exact(a, b, p, q) else 1.0 / (d - 1))
 
 
 def witness_pairing(s: InvariantState, m: CovariantMap):
@@ -389,17 +397,13 @@ def witness_pairing(s: InvariantState, m: CovariantMap):
     """
     if s.d != m.d:
         raise ValueError(f"dimension mismatch: state d={s.d}, map d={m.d}")
-    d = s.d
-    val = (d + 1) * (m.p * s.a + m.q * s.b) + m.p * s.b + m.q * s.a
-    if all(isinstance(v, (int, Fraction)) for v in (s.a, s.b, m.p, m.q)):
-        return val + Fraction(1, d - 1)
-    return val + 1.0 / (d - 1)
+    return _witness_form(s.d, s.a, s.b, m.p, m.q)
 
 
 def witness_points(d: int, k: int, arc_samples: int = 256) -> list[tuple[float, float]]:
     """Extreme points of the k-positivity region: vertices plus arc samples."""
-    pts = list(map_region_vertices(d, k, exact=False))
     rb = map_region_boundary(d, k, arc_samples=max(2, arc_samples))
+    pts = list(rb.vertices)
     for arc in rb.arcs:
         pts.extend(arc.samples[1:-1])
     return pts
@@ -417,11 +421,7 @@ def witness_violation_search(
     violation is evidence of membership at the sampled resolution.
     """
     pts = np.asarray(witness_points(s.d, k, arc_samples), dtype=float)
-    d = s.d
-    a, b = float(s.a), float(s.b)
-    c1 = (d + 1) * pts[:, 0] + pts[:, 1]
-    c2 = (d + 1) * pts[:, 1] + pts[:, 0]
-    vals = a * c1 + b * c2 + 1.0 / (d - 1)
+    vals = _witness_form(s.d, float(s.a), float(s.b), pts[:, 0], pts[:, 1])
     i = int(np.argmin(vals))
     if vals[i] < threshold:
         return (float(pts[i, 0]), float(pts[i, 1]), float(vals[i]))
@@ -709,9 +709,7 @@ def witness_grid_check(
         sel = (m_state > band) & (np.abs(mk) > band)
         pts_a, pts_b, expect = A[sel], B[sel], (mk[sel] < 0)
         wpts = np.asarray(witness_points(d, k, arc_samples), dtype=float)
-        c1 = (d + 1) * wpts[:, 0] + wpts[:, 1]
-        c2 = (d + 1) * wpts[:, 1] + wpts[:, 0]
-        vals = np.outer(pts_a, c1) + np.outer(pts_b, c2) + 1.0 / (d - 1)
+        vals = _witness_form(d, pts_a[:, None], pts_b[:, None], wpts[:, 0], wpts[:, 1])
         found = (vals < -1e-12).any(axis=1)
         checked += int(sel.sum())
         bad = np.nonzero(found != expect)[0]

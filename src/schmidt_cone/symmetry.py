@@ -26,7 +26,6 @@ __all__ = [
     "commutant_basis",
     "commutant_gram",
     "twirl_exact",
-    "haar_orthogonal",
     "haar_orthogonal_batch",
     "twirl_monte_carlo",
     "apply_channel_right",
@@ -166,11 +165,6 @@ def haar_orthogonal_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarra
     s = np.sign(np.einsum("nii->ni", r))
     s[s == 0] = 1.0
     return q * s[:, None, :]
-
-
-def haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
-    """A single Haar-distributed real orthogonal d x d matrix."""
-    return haar_orthogonal_batch(d, 1, rng)[0]
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:

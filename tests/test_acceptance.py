@@ -19,7 +19,6 @@ from schmidt_cone.classify import (
     schmidt_number,
 )
 from schmidt_cone.geometry import (
-    classify_conic,
     dual_conic,
     dual_tangency_points,
     dual_tangent_lines,
@@ -135,12 +134,12 @@ def test_criterion_5_dual_conic_and_remark():
                 # float-path residual bound as stated
                 froots = tangency_discriminant(conic.as_float(), line)
                 assert abs(float(froots)) < 1e-8
-            assert classify_conic(conic) == "ellipse"
+            assert conic.classify() == "ellipse"
             pairs += 1
     assert kpos_conic(5, 3, exact=True).coefficients() == (14, -32, 4, -13, -3, -1)
     assert kpos_conic(5, 4, exact=True).coefficients() == (19, -2, 4, -18, -3, -1)
-    assert classify_conic(kpos_conic(5, 3, exact=True)) == "hyperbola"
-    assert classify_conic(kpos_conic(5, 4, exact=True)) == "ellipse"
+    assert kpos_conic(5, 3, exact=True).classify() == "hyperbola"
+    assert kpos_conic(5, 4, exact=True).classify() == "ellipse"
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _report(5, elapsed, f"{pairs} dual conics exact; d=5 matches the displayed polynomial")

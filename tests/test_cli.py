@@ -202,4 +202,28 @@ def test_usage_error_exit_code():
 
 
 def test_internal_error_exit_code(capsys):
-    assert main(["classify-map", "--d", "1", "--p", "0", "--q", "0"]) == 3
+    # arguments outside the domain are usage errors, not internal failures
+    assert main(["classify-map", "--d", "1", "--p", "0", "--q", "0"]) == 2
+    assert capsys.readouterr().err == "error: d must be >= 2\n"
+    assert main(["region", "map", "--d", "4", "--k", "5"]) == 2
+    assert capsys.readouterr().err == "error: k=5 out of range 1..4\n"
+    assert main(["region", "map", "--d", "4", "--k", "3", "--samples", "1"]) == 2
+    assert capsys.readouterr().err == "error: need at least the two endpoints\n"
+
+
+def test_verification_and_arithmetic_failures_exit_3(capsys, monkeypatch):
+    from schmidt_cone import classify, oracles
+
+    def inconsistent(d, **kwargs):
+        return oracles.OracleReport("violated", witness={"k": 1}, samples=d)
+
+    monkeypatch.setattr(oracles, "frame_minima_check", inconsistent)
+    assert main(["verify", "--suite", "frames", "--d", "3"]) == 3
+    assert json.loads(capsys.readouterr().out)["reports"]["frames"]["verdict"] == "violated"
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("result too large")
+
+    monkeypatch.setattr(classify, "k_positivity_max", overflow)
+    assert main(["classify-map", "--d", "4", "--p", "0", "--q", "0"]) == 3
+    assert capsys.readouterr().err == "error: result too large\n"

@@ -6,7 +6,6 @@ import pytest
 
 from schmidt_cone.geometry import (
     Conic,
-    classify_conic,
     conic_through_five_points,
     dual_conic,
     dual_tangency_points,
@@ -27,7 +26,13 @@ from schmidt_cone.geometry import (
     tangency_discriminant,
     witness_halfplane,
 )
-from schmidt_cone.classify import kpos_margin_grid, schmidt_margin_grid
+from schmidt_cone import geometry
+from schmidt_cone.classify import (
+    is_k_positive,
+    kpos_margin_grid,
+    schmidt_margin_grid,
+    schmidt_membership,
+)
 
 
 def test_kpos_conic_d4_k3_coefficients():
@@ -49,17 +54,17 @@ def test_kpos_conic_contains_one_zero():
 
 
 def test_classify_conic_examples():
-    assert classify_conic(kpos_conic(5, 3, exact=True)) == "hyperbola"
-    assert classify_conic(kpos_conic(5, 4, exact=True)) == "ellipse"
-    assert classify_conic(Conic(1, 0, 1, 0, 0, -1)) == "ellipse"  # unit circle
-    assert classify_conic(Conic(1, 0, 0, 0, -1, 0)) == "parabola"  # y = x^2
-    assert classify_conic(Conic(1, 0, -1, 0, 0, 0)) == "degenerate"  # pair of lines
+    assert kpos_conic(5, 3, exact=True).classify() == "hyperbola"
+    assert kpos_conic(5, 4, exact=True).classify() == "ellipse"
+    assert Conic(1, 0, 1, 0, 0, -1).classify() == "ellipse"  # unit circle
+    assert Conic(1, 0, 0, 0, -1, 0).classify() == "parabola"  # y = x^2
+    assert Conic(1, 0, -1, 0, 0, 0).classify() == "degenerate"  # pair of lines
 
 
 def test_classify_conic_float_path():
-    assert classify_conic(kpos_conic(5, 3)) == "hyperbola"
-    assert classify_conic(kpos_conic(5, 4)) == "ellipse"
-    assert classify_conic(Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0)) == "ellipse"
+    assert kpos_conic(5, 3).classify() == "hyperbola"
+    assert kpos_conic(5, 4).classify() == "ellipse"
+    assert Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0).classify() == "ellipse"
 
 
 def test_pairing_map_values_and_round_trip():
@@ -182,7 +187,7 @@ def test_dual_conic_tangent_to_all_five_lines_exactly():
 
 def test_dual_conic_is_ellipse():
     for d, k in _case3_pairs(10):
-        assert classify_conic(dual_conic(d, k, exact=True)) == "ellipse"
+        assert dual_conic(d, k, exact=True).classify() == "ellipse"
 
 
 def test_dual_tangency_points_sit_on_their_lines():
@@ -230,6 +235,32 @@ def test_state_region_vertices_examples():
         (0, Fraction(-1, 3)),
         (Fraction(-1, 9), Fraction(2, 9)),
     ]
+
+
+@pytest.mark.parametrize("kind", ["map", "state"])
+def test_exact_corners_sit_on_their_two_boundary_pieces(kind):
+    vertices = map_region_vertices if kind == "map" else state_region_vertices
+    member = is_k_positive if kind == "map" else schmidt_membership
+    for d in range(2, 13):
+        for k in range(1, d + 1):
+            row = geometry._REGIONS[kind, region_case(d, k)]
+            verts = vertices(d, k, exact=True)
+            n = len(row.slacks(d, k, 0, 0))
+            conic = row.conic(d, k, True) if row.conic else None
+            for i, (x, y) in enumerate(verts):
+                assert type(x) is Fraction and type(y) is Fraction
+                slacks = row.slacks(d, k, x, y)
+                if row.ends is None:
+                    on = {(i - 1) % n, i}  # corner i joins lines i-1 and i
+                else:  # an open chain from the arc's end back to its start
+                    on = {i - 1, i} & set(range(n))
+                assert all(slacks[j] == 0 for j in on), (kind, d, k, i)
+                assert all(s >= 0 for s in slacks), (kind, d, k, i)
+                if conic is not None and i in (0, len(verts) - 1):
+                    assert conic(x, y) == 0  # an end of the arc
+                elif conic is not None and not row.union:
+                    assert conic(x, y) <= 0
+                assert member(d, x, y, k).status == "boundary"
 
 
 @pytest.mark.parametrize("d,k", [(3, 2), (4, 3), (5, 4), (6, 5)])

@@ -9,7 +9,6 @@ from schmidt_cone.symmetry import (
     apply_channel_right,
     commutant_basis,
     commutant_gram,
-    haar_orthogonal,
     haar_orthogonal_batch,
     twirl_exact,
     twirl_monte_carlo,
@@ -55,7 +54,7 @@ def test_map_covariance_under_orthogonal_conjugation():
     rng = np.random.default_rng(2)
     m = CovariantMap(4, 0.3, -0.5)
     for _ in range(5):
-        O = haar_orthogonal(4, rng)
+        O = haar_orthogonal_batch(4, 1, rng)[0]
         Z = _random_hermitian(4, rng)
         lhs = m.apply(O @ Z @ O.T)
         rhs = O @ m.apply(Z) @ O.T
@@ -100,7 +99,7 @@ def test_invariant_state_commutes_with_tensor_orthogonals():
     rng = np.random.default_rng(4)
     rho = InvariantState(3, 0.3, -0.2).matrix()
     for _ in range(20):
-        O = haar_orthogonal(3, rng)
+        O = haar_orthogonal_batch(3, 1, rng)[0]
         OO = np.kron(O, O)
         assert np.linalg.norm(OO @ rho - rho @ OO) < 1e-10
 
@@ -161,7 +160,7 @@ def test_map_family_self_adjoint_under_pairing():
 def test_haar_orthogonal_is_orthogonal():
     rng = np.random.default_rng(7)
     for d in (1, 3, 6):
-        O = haar_orthogonal(d, rng)
+        O = haar_orthogonal_batch(d, 1, rng)[0]
         assert np.max(np.abs(O.T @ O - np.eye(d))) < 1e-12
         assert np.allclose(np.linalg.norm(O, axis=0), 1.0, atol=1e-12)
 
