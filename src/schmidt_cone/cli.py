@@ -26,7 +26,13 @@ def _parse_scalar(text: str, exact: bool):
     except (ValueError, ZeroDivisionError) as e:
         sys.stderr.write(f"error: cannot parse scalar {text!r} (decimal or n/m expected)\n")
         raise SystemExit(2) from e
-    return val if exact else float(val)
+    if exact:
+        return val
+    try:
+        return float(val)
+    except OverflowError as e:
+        sys.stderr.write(f"error: scalar {text!r} is outside the float range\n")
+        raise SystemExit(2) from e
 
 
 def _num(v):

@@ -150,12 +150,14 @@ class Conic:
         return "parabola"
 
 
+@lru_cache(maxsize=None, typed=True)
 def kpos_conic(d: int, k: int, exact: bool = False) -> Conic:
     """The boundary conic of the k-positivity region (integer coefficients).
 
     A = kd-1, B = -(d^3 - kd^2 - kd - d + 2), C = d-1, D = -(kd-2),
     E = -(d-2), F = -1.  Constructible for any k; geometrically relevant for
-    d/2 < k < d.
+    d/2 < k < d.  Built once per (d, k, exact): every float classification in
+    case 3 evaluates it, and a Conic is frozen, so callers share it.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -366,7 +368,9 @@ def dual_tangent_lines(d: int, k: int) -> list[HalfPlane]:
 
 
 @lru_cache(maxsize=None)
-def _dual_conic_exact(d: int, k: int) -> Conic:
+def _dual_conic(d: int, k: int, exact: bool) -> Conic:
+    if not exact:
+        return _dual_conic(d, k, True).as_float()
     pts = dual_tangency_points(d, k, exact=True)
     cx = sum(p[0] for p in pts) / 5
     cy = sum(p[1] for p in pts) / 5
@@ -381,8 +385,7 @@ def dual_conic(d: int, k: int, exact: bool = True) -> Conic:
     evaluates <= 0 (the filled ellipse is the <= 0 side).
     """
     _check_case3(d, k)
-    conic = _dual_conic_exact(d, k)
-    return conic if exact else conic.as_float()
+    return _dual_conic(d, k, exact)
 
 
 def tangency_discriminant(conic: Conic, line: HalfPlane):

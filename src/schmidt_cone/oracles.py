@@ -193,22 +193,53 @@ def _relative_min_eig(Ms: np.ndarray) -> np.ndarray:
     return w[..., 0] / scale
 
 
-def _all_psd_fast(Ms: np.ndarray, tol: float) -> bool:
-    """Batched PSD test via Cholesky of the tolerance-shifted matrices.
+def _compressions_into(
+    M: np.ndarray, F: np.ndarray, V: np.ndarray, p: float, q: float, d: int
+) -> np.ndarray:
+    """_compressions(*_frame_operators(V), p, q, d) at one point (p, q), written into M.
 
-    Uses the Frobenius norm as a cheap spectral-norm upper bound for the
-    relative shift, so it can only be more permissive than the eigenvalue
-    test by at most that norm gap; callers keep a boundary band far wider.
+    M and F are (n, kd, kd) complex workspace that a caller reuses from point
+    to point, so no fresh stack is allocated; F is left holding q Fv.  The
+    elementwise operations and their order are those of _compressions, so
+    every bit matches.
     """
-    scale = np.maximum(1.0, np.sqrt(np.sum(Ms.real**2 + Ms.imag**2, axis=(-2, -1))))
-    shifted = Ms.copy()
-    diag = np.einsum("...ii->...i", shifted)
+    n, _, k = V.shape
+    v = V.transpose(0, 2, 1).reshape(n, k * d)
+    np.multiply(v[:, :, None], v[:, None, :].conj(), out=M)  # kP
+    # q Fv, with Fv the partial transpose of kP over the d index
+    np.multiply(q, M.reshape(n, k, d, k, d).transpose(0, 1, 4, 3, 2), out=F.reshape(n, k, d, k, d))
+    np.multiply(p, M, out=M)
+    diag = np.einsum("...ii->...i", M)
+    diag += (1.0 - p - q) / d
+    M += F
+    return M
+
+
+def _all_psd_fast(
+    M: np.ndarray, F: np.ndarray, V: np.ndarray, p: float, q: float, d: int, tol: float
+) -> bool:
+    """Whether the compressions of all frames V at (p, q) are PSD, to tolerance tol.
+
+    Batched Cholesky of the matrices shifted by tol times their Frobenius
+    norm, a cheap spectral-norm upper bound, so it can only be more permissive
+    than the eigenvalue test by at most that norm gap; callers keep a boundary
+    band far wider.  The matrices are built in the workspace M (F is scratch,
+    see _compressions_into) and shifted in place, so when Cholesky fails they
+    are built again for the eigenvalue test.
+    """
+    _compressions_into(M, F, V, p, q, d)
+    sq = F.view(float).reshape(2, *M.shape)  # F's memory as two float stacks
+    np.square(M.real, out=sq[0])
+    np.square(M.imag, out=sq[1])
+    sq[0] += sq[1]
+    scale = np.maximum(1.0, np.sqrt(np.sum(sq[0], axis=(-2, -1))))
+    diag = np.einsum("...ii->...i", M)
     diag += (tol * scale)[..., None]
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(M)
         return True
     except np.linalg.LinAlgError:
-        return bool(np.all(_relative_min_eig(Ms) >= -tol))
+        return bool(np.all(_relative_min_eig(_compressions_into(M, F, V, p, q, d)) >= -tol))
 
 
 def tomiyama_check(
@@ -523,6 +554,8 @@ def duality_sanity(d: int, samples: int = 1000, seed: int = 0) -> OracleReport:
     projectors) paired against classifier-certified positive maps, and random
     CP Choi matrices against classifier-certified CP maps, must pair >= 0.
     """
+    if d < 2:
+        raise ValueError("d must be >= 2")
     if d > 4:
         raise ValueError("duality sanity is desk-scale only (d <= 4)")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(11, d)))
@@ -583,6 +616,9 @@ def _grid_task(args) -> dict:
     expl_kP, expl_Fv = _frame_operators(
         np.stack([fr.vectors for _, fr in explicit_frames(d, k)])
     )
+    # per-task workspace for the random-frame compressions, reused at every point
+    M = np.empty((n_random, k * d, k * d), dtype=complex)
+    F = np.empty_like(M)
     disagreements = []
     random_only = 0
     checked = 0
@@ -594,26 +630,27 @@ def _grid_task(args) -> dict:
         expl_margins = _relative_min_eig(
             _compressions(expl_kP, expl_Fv, P[ix, cols], Q[ix, cols], d)
         )
-        for iy, point_margins in zip(cols.tolist(), expl_margins):
+        row_violated = np.any(expl_margins < -tol, axis=-1)
+        # exterior points certified by an explicit frame are done
+        todo = ~(row_violated & (margins[ix, cols] < 0))
+        for iy, point_margins, expl_violated in zip(
+            cols[todo].tolist(), expl_margins[todo], row_violated[todo].tolist()
+        ):
             margin = margins[ix, iy]
             p, q = float(P[ix, iy]), float(Q[ix, iy])
-            expl_violated = bool(np.any(point_margins < -tol))
-            if margin < 0 and expl_violated:
-                continue  # exterior certified by an explicit frame
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(d, k, ix, iy))
             )
             V = random_frames(d, k, n_random, rng)
-            Ms = _compressions(*_frame_operators(V), p, q, d)
             if margin > 0:
                 worst_inside = min(worst_inside, float(np.min(point_margins)))
-                ok = not expl_violated and _all_psd_fast(Ms, tol)
+                ok = not expl_violated and _all_psd_fast(M, F, V, p, q, d, tol)
                 if not ok:
                     disagreements.append(
                         {"p": p, "q": q, "k": k, "classifier": "inside", "oracle": "violated"}
                     )
             else:
-                rnd_margins = _relative_min_eig(Ms)
+                rnd_margins = _relative_min_eig(_compressions_into(M, F, V, p, q, d))
                 if np.any(rnd_margins < -tol):
                     random_only += 1  # a finding: violation missed by explicit frames
                 else:
@@ -657,12 +694,16 @@ def grid_agreement(
         for start in range(0, grid_n, chunk):
             rows = range(start, min(start + chunk, grid_n))
             tasks.append((d, k, grid_n, box, rows, n_random, seed, band, tol))
-    results = []
+    # Heaviest (largest k) tasks first, so that no worker is left alone with
+    # one at the end; the results go back into task order before merging.
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
+    heavy_first = [tasks[i] for i in order]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_grid_task, tasks))
+            done = list(pool.map(_grid_task, heavy_first))
     else:
-        results = [_grid_task(t) for t in tasks]
+        done = [_grid_task(t) for t in heavy_first]
+    results = [r for _, r in sorted(zip(order, done), key=lambda pair: pair[0])]
     disagreements = [x for r in results for x in r["disagreements"]]
     checked = sum(r["checked"] for r in results)
     random_only = sum(r["random_only"] for r in results)
@@ -729,6 +770,8 @@ def witness_grid_check(
 
 def frame_minima_check(d: int, restarts: int = 50, iters: int = 150, seed: int = 0) -> OracleReport:
     """Explicit frames attain max(2k-d, 0); optimization never beats the floor."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
     failures = []
     minima = {}
     for k in range(1, d + 1):

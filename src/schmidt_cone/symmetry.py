@@ -146,7 +146,8 @@ def twirl_exact(X) -> InvariantCoordinates:
         raise ValueError(f"side {d2} is not d^2 for some d >= 2")
     gram = commutant_gram(d)
     # det = (d^2-d)^2 (d^2+2d) > 0 for d >= 2
-    assert np.linalg.det(gram) > 0.0
+    if not np.linalg.det(gram) > 0.0:
+        raise ArithmeticError(f"commutant Gram matrix of d={d} is not positive definite")
     basis = commutant_basis(d)
     rhs = np.array([np.sum(g * X.T).real for g in basis])
     c = np.linalg.solve(gram, rhs)

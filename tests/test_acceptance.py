@@ -1,8 +1,8 @@
 """Acceptance gate: each criterion at its stated tolerance, one line printed per criterion.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the pass lines; the
-full protocol takes about two minutes on 2 CPUs, most of it the 200x200
-frame-compression grid of criterion 2 (about 100 s), which parallelizes over
+full protocol takes about 100 to 125 s on 2 CPUs, most of it the 200x200
+frame-compression grid of criterion 2 (80 to 100 s), which parallelizes over
 SCHMIDT_CONE_THREADS workers.
 """
 

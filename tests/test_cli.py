@@ -211,6 +211,22 @@ def test_internal_error_exit_code(capsys):
     assert capsys.readouterr().err == "error: need at least the two endpoints\n"
 
 
+def test_scalar_outside_the_float_range_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify-map", "--d", "4", "--p", "1e400", "--q", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: scalar '1e400' is outside the float range\n"
+    # exact rationals have no range to leave
+    code, out = run_cli(capsys, "classify-map", "--d", "4", "--p", "1e400", "--q", "0", "--exact")
+    assert code == 0 and json.loads(out)["max_k"] == 0
+
+
+@pytest.mark.parametrize("suite", ["frames", "duality"])
+def test_verify_rejects_d_below_2(capsys, suite):
+    assert main(["verify", "--suite", suite, "--d", "1"]) == 2
+    assert capsys.readouterr().err == "error: d must be >= 2\n"
+
+
 def test_verification_and_arithmetic_failures_exit_3(capsys, monkeypatch):
     from schmidt_cone import classify, oracles
 

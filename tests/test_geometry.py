@@ -67,6 +67,28 @@ def test_classify_conic_float_path():
     assert Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0).classify() == "ellipse"
 
 
+def test_float_case3_conics_are_shared_and_unchanged():
+    # built once per (d, k) and shared, equal to a fresh float conversion of
+    # the exact conic, so float margins keep every bit
+    for d in range(3, 13):
+        for k in range(1, d + 1):
+            if region_case(d, k) != 3:
+                continue
+            fresh = Conic(*(float(c) for c in kpos_conic(d, k, exact=True).coefficients()))
+            assert kpos_conic(d, k) is kpos_conic(d, k) == fresh
+            fresh = dual_conic(d, k, exact=True).as_float()
+            assert dual_conic(d, k, exact=False) is dual_conic(d, k, exact=False) == fresh
+    # margins where the conic binds, as read before the conics were cached
+    assert is_k_positive(5, -0.064, 0.089, 4).margin == -0.005900000000000016
+    assert is_k_positive(6, -0.048, 0.075, 4).margin == 0.004483000000000015
+    assert is_k_positive(6, -0.047, 0.073, 4).margin == 0.029584000000000055
+    assert is_k_positive(8, -0.026, 0.057, 6).margin == -0.018182999999999838
+    assert schmidt_membership(5, 0.78, -0.048, 4).margin == -0.00016396383363472076
+    assert schmidt_membership(6, 0.65, -0.063, 4).margin == -6.887261146497131e-05
+    assert schmidt_membership(6, 0.64, -0.062, 4).margin == 0.0003035668789808919
+    assert schmidt_membership(8, 0.73, -0.034, 6).margin == -6.093847799446114e-05
+
+
 def test_pairing_map_values_and_round_trip():
     assert pairing_map(3, (0, 0)) == (0, 0)
     # frozen matrix multiply: -(d-1) [[d+1, 1], [1, d+1]] (1, 0)^T at d = 4

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from schmidt_cone import oracles
 from schmidt_cone.classify import is_k_positive
 from schmidt_cone.linalg import is_psd, max_entangled, pairing
 from schmidt_cone.oracles import (
@@ -28,6 +29,7 @@ from schmidt_cone.oracles import (
     witness_points,
     witness_violation_search,
     _compressions,
+    _compressions_into,
     _frame_operators,
     _overlap_gradient,
 )
@@ -74,7 +76,8 @@ def test_tomiyama_matrix_transpose_k2_not_psd():
 def test_tomiyama_matrix_decomposition_identity():
     # literal assembly equals A I + p k|W><W| + q F(v) for any frame, at every
     # k (k = 1 makes Fv a view of kP, which the assembly must not write into),
-    # one point at a time and for a row of points in front of the frames
+    # one point at a time and for a row of points in front of the frames; the
+    # assembly into reused workspace gives the same bytes
     rng = np.random.default_rng(2)
     P, Q = np.array([0.4, -0.1, 0.3]), np.array([-0.2, 0.5, 0.3])
     for d in (3, 4, 5):
@@ -84,9 +87,12 @@ def test_tomiyama_matrix_decomposition_identity():
             kP0, Fv0 = kP.copy(), Fv.copy()
             row = _compressions(kP, Fv, P, Q, d)
             assert row.shape == (len(P), len(V), k * d, k * d)
+            M = np.full_like(kP, np.nan)
+            F = np.full_like(kP, np.nan)
             for j, (p, q) in enumerate(zip(P, Q)):
                 fast = _compressions(kP, Fv, p, q, d)
                 assert np.array_equal(row[j], fast)
+                assert _compressions_into(M, F, V, float(p), float(q), d).tobytes() == fast.tobytes()
                 for i in range(len(V)):
                     lit = tomiyama_matrix(CovariantMap(d, p, q), Frame(d, k, V[i]))
                     assert np.max(np.abs(lit - fast[i])) < 1e-12
@@ -327,13 +333,47 @@ def test_grid_agreement_small_scale():
     assert rep.details["random_only_violations"] == 0
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_grid_agreement_same_report_at_one_and_two_workers(seed):
+@pytest.mark.parametrize(
+    "d, seed, tol",
+    [
+        pytest.param(3, 0, 1e-9, id="0"),
+        pytest.param(3, 7, 1e-9, id="7"),
+        # a tolerance below zero demands a margin, so interior points at several
+        # k disagree and the witnesses show the order the results were merged in
+        pytest.param(4, 0, -1e-2, id="d4-all-k"),
+    ],
+)
+def test_grid_agreement_same_report_at_one_and_two_workers(d, seed, tol):
     # frames are seeded per point, so scheduling cannot change the report
-    serial = grid_agreement(3, grid_n=20, n_random=20, seed=seed, workers=1).to_dict()
-    pooled = grid_agreement(3, grid_n=20, n_random=20, seed=seed, workers=2).to_dict()
+    serial = grid_agreement(d, grid_n=20, n_random=20, seed=seed, tol=tol, workers=1).to_dict()
+    pooled = grid_agreement(d, grid_n=20, n_random=20, seed=seed, tol=tol, workers=2).to_dict()
     assert serial == pooled
     assert serial["samples"] > 0
+    # the largest k runs first, but the report lists tasks in (k, row) order
+    witness = serial["witness"] or []
+    assert witness == sorted(witness, key=lambda w: (w["k"], w["p"], w["q"]))
+    if tol < 0:
+        assert len({w["k"] for w in witness}) > 1
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("tol", [1e-9, -1e-2])
+def test_grid_agreement_cholesky_fallback_gives_the_same_report(monkeypatch, seed, tol):
+    # With every Cholesky failing, each interior point is decided by the
+    # eigenvalue test, which must see the compressions without the shift the
+    # Cholesky test put on their diagonal.  At tol < 0 some interior points
+    # fail, and an eigenvalue test of the shifted matrices fails more of them.
+    kwargs = dict(grid_n=20, n_random=20, seed=seed, tol=tol, workers=1)
+    expected = grid_agreement(3, **kwargs).to_dict()
+    calls = []
+
+    def failing_cholesky(a):
+        calls.append(a.shape)
+        raise np.linalg.LinAlgError("forced failure")
+
+    monkeypatch.setattr(oracles.np.linalg, "cholesky", failing_cholesky)
+    assert grid_agreement(3, **kwargs).to_dict() == expected
+    assert calls
 
 
 def test_witness_grid_check_small():

@@ -124,6 +124,15 @@ def test_twirl_exact_on_state_family():
     assert np.allclose(co.as_tuple(), ((1 - a - b) / d**2, a / d, b / d), atol=1e-12)
 
 
+def test_twirl_exact_rejects_a_singular_gram_matrix(monkeypatch):
+    # an explicit check, so that it holds under python -O as well
+    from schmidt_cone import symmetry
+
+    monkeypatch.setattr(symmetry, "commutant_gram", lambda d: np.zeros((3, 3)))
+    with pytest.raises(ArithmeticError, match="not positive definite"):
+        twirl_exact(flip(3))
+
+
 def test_invariant_coordinates_round_trip():
     co = InvariantCoordinates(3, 0.2, -0.5, 0.7)
     back = twirl_exact(co.matrix())
