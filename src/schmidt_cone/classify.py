@@ -5,7 +5,10 @@ number of the state family from the closed-form inequality systems, in two
 evaluation modes:
 
 * exact: int/Fraction inputs make every decision exact (boundary = exact
-  equality, tolerance ignored);
+  equality, tolerance ignored).  The point is put over one common
+  denominator D, every line slack (times D) and the conic slack (times D^2)
+  is evaluated as a plain integer, and only the chosen margin becomes a
+  Fraction, one per single-k verdict (an int when both inputs are ints);
 * float: each constraint slack is compared against a boundary tolerance
   (default 1e-9).
 
@@ -26,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import _is_exact, region_margin
+from .geometry import _is_exact, region_case, region_margin
 
 __all__ = [
     "MembershipVerdict",
@@ -83,9 +86,10 @@ class MembershipVerdict:
 
 def _verdict(margin, exact: bool, tol: float) -> MembershipVerdict:
     if exact:
-        if margin > 0:
+        sign = margin.numerator  # an int, cheaper to compare than a Fraction
+        if sign > 0:
             return MembershipVerdict("inside", margin)
-        if margin < 0:
+        if sign < 0:
             return MembershipVerdict("outside", margin)
         return MembershipVerdict("boundary", margin)
     m = float(margin)
@@ -109,7 +113,8 @@ def is_k_positive(d: int, p, q, k: int, tol: float = BOUNDARY_TOL) -> Membership
     reading is cross-checked by the frame-compression oracle suite.
     """
     _check_finite(p, q)
-    return _verdict(region_margin("map", d, k, p, q), _is_exact(p, q), tol)
+    exact = _is_exact(p, q)
+    return _verdict(region_margin("map", d, k, p, q, exact=exact), exact, tol)
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,8 @@ class KPositivityProfile:
 
 def k_positivity_max(d: int, p, q, tol: float = BOUNDARY_TOL) -> KPositivityProfile:
     """Largest k for which the map is k-positive (boundary counts as member)."""
+    if type(d) is not int or d < 2:
+        region_case(d, 1)  # refuses a float or bool d and d < 2
     per_k = tuple(is_k_positive(d, p, q, k, tol) for k in range(1, d + 1))
     max_k = 0
     for k, v in enumerate(per_k, start=1):
@@ -143,7 +150,8 @@ def schmidt_membership(d: int, a, b, k: int, tol: float = BOUNDARY_TOL) -> Membe
     five-line system, so the margin is the max of the two sub-margins.
     """
     _check_finite(a, b)
-    return _verdict(region_margin("state", d, k, a, b), _is_exact(a, b), tol)
+    exact = _is_exact(a, b)
+    return _verdict(region_margin("state", d, k, a, b, exact=exact), exact, tol)
 
 
 @dataclass(frozen=True)
@@ -169,6 +177,8 @@ def schmidt_number(d: int, a, b, tol: float = BOUNDARY_TOL) -> StateClassificati
     State-ness is decided by membership in the k=d region (the PSD triangle),
     which is exact, rather than by an eigenvalue computation.
     """
+    if type(d) is not int or d < 2:
+        region_case(d, 1)  # refuses a float or bool d and d < 2
     per_k = tuple(schmidt_membership(d, a, b, k, tol) for k in range(1, d + 1))
     if not per_k[-1].member:
         return StateClassification(d, a, b, None, per_k)

@@ -14,7 +14,8 @@ state coordinates, pole-polar duality, five-point conic fitting (exact
 rational or floating point), and arc sampling for plots.
 
 Exact mode: corners, the pairing map and the five-point fit are evaluated in
-rational arithmetic whenever the inputs are rationals, so boundary
+rational arithmetic whenever the inputs are rationals, and exact margins on
+the integer numerators of the point over one common denominator, so boundary
 classification never depends on rounding.  Arc sampling is always floating
 point.
 """
@@ -67,6 +68,11 @@ def _is_exact(*vals) -> bool:
         if not isinstance(v, (int, Fraction)):
             return False
     return True
+
+
+def _check_integer(v, name: str):
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +165,8 @@ def kpos_conic(d: int, k: int, exact: bool = False) -> Conic:
     d/2 < k < d.  Built once per (d, k, exact): every float classification in
     case 3 evaluates it, and a Conic is frozen, so callers share it.
     """
+    _check_integer(d, "d")
+    _check_integer(k, "k")
     if d < 2:
         raise ValueError("d must be >= 2")
     coeffs = (
@@ -367,7 +375,7 @@ def dual_tangent_lines(d: int, k: int) -> list[HalfPlane]:
     return _halfplanes(_DUAL_TANGENTS, d, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _dual_conic(d: int, k: int, exact: bool) -> Conic:
     if not exact:
         return _dual_conic(d, k, True).as_float()
@@ -418,7 +426,14 @@ def tangency_discriminant(conic: Conic, line: HalfPlane):
 
 
 def region_case(d: int, k: int) -> int:
-    """Which of the four geometric cases (k, d) falls in: 1, 2, 3 or 4."""
+    """Which of the four geometric cases (k, d) falls in: 1, 2, 3 or 4.
+
+    d and k must be Python or numpy integers: a float or bool raises
+    ``ValueError``, as a d or k out of range does.
+    """
+    if type(d) is not int or type(k) is not int:
+        _check_integer(d, "d")
+        _check_integer(k, "k")
     if d < 2:
         raise ValueError("d must be >= 2")
     if not 1 <= k <= d:
@@ -526,23 +541,65 @@ _REGIONS = {
 }
 
 
-def region_margin(kind: str, d: int, k: int, x, y, lowest=min, highest=max):
+def region_margin(kind: str, d: int, k: int, x, y, lowest=min, highest=max, exact=False):
     """Signed margin of (x, y) in the (kind, d, k) region, >= 0 on members.
 
     The smallest line slack, cut by the conic slack for maps and united with
-    it for states.  Exact for int/Fraction inputs.  ``lowest`` reduces a list
-    and ``highest`` a pair: min and max for scalars, np.minimum.reduce and
-    np.maximum for arrays.
+    it for states.  ``lowest`` reduces a list and ``highest`` a pair: min and
+    max for scalars, np.minimum.reduce and np.maximum for arrays.
+
+    Without ``exact`` the case-3 conic is the float one, for floats and
+    arrays.  ``exact`` requires int/Fraction inputs and gives the margin in
+    exact arithmetic.  The point is put over one common denominator D, each line
+    slack times D and the conic slack times D^2 are plain integers from the
+    row's integer coefficients (``_integer_row``), and the chosen one becomes
+    a single Fraction: the same value as the table evaluated on Fractions,
+    and an int when x and y both are.
     """
+    if exact:
+        lines, conic, union = _integer_row(kind, d, k)
+        X, D = x.numerator, x.denominator
+        Y, DY = y.numerator, y.denominator
+        if DY != D:
+            g = math.gcd(D, DY)
+            X *= DY // g
+            Y *= D // g
+            D *= DY // g
+        m = min([c * D - nx * X - ny * Y for c, nx, ny in lines])
+        if conic is not None:
+            A, B, C, CX, CY, C0 = conic
+            inner = -(A * X * X + B * X * Y + C * Y * Y + (CX * X + CY * Y + C0 * D) * D)
+            m = max(m * D, inner) if union else min(m * D, inner)
+            D *= D
+        if isinstance(x, int) and isinstance(y, int):
+            return m
+        return Fraction(m, D)
     row = _REGIONS[kind, region_case(d, k)]
     slacks = row.slacks(d, k, x, y)
     if row.conic is None:
         return lowest(slacks)
-    inner = -row.conic(d, k, _is_exact(x, y))(x, y)
+    inner = -row.conic(d, k, False)(x, y)
     if row.union:
         return highest(lowest(slacks), inner)
     slacks.append(inner)
     return lowest(slacks)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _integer_row(kind: str, d: int, k: int) -> tuple:
+    """The (kind, d, k) row on integer coefficients, for exact margins.
+
+    Each line as (c, nx, ny) with nx x + ny y <= c, the conic's six
+    coefficients or None, and whether the conic is united with the lines.
+    Typed, so that a float or bool d or k misses the cache and is refused by
+    ``region_case``; numpy integers become Python ints here, so the integer
+    arithmetic cannot overflow.
+    """
+    row = _REGIONS[kind, region_case(d, k)]
+    d, k = int(d), int(k)
+    lines = tuple((h.c, h.nx, h.ny) for h in _halfplanes(row.slacks, d, k))
+    conic = None if row.conic is None else row.conic(d, k, True).coefficients()
+    return lines, conic, row.union
 
 
 def _meet(g: HalfPlane, h: HalfPlane) -> tuple:
@@ -551,7 +608,7 @@ def _meet(g: HalfPlane, h: HalfPlane) -> tuple:
     return (Fraction(g.c * h.ny - h.c * g.ny, det), Fraction(g.nx * h.c - h.nx * g.c, det))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _vertices(kind: str, d: int, k: int, exact: bool) -> tuple:
     row = _REGIONS[kind, region_case(d, k)]
     lines = _halfplanes(row.slacks, d, k)

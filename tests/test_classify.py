@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +17,10 @@ from schmidt_cone.classify import (
 )
 from schmidt_cone.geometry import (
     map_region_boundary,
+    map_region_vertices,
     region_contains,
     state_region_boundary,
+    state_region_vertices,
 )
 from schmidt_cone.linalg import is_psd
 from schmidt_cone.symmetry import InvariantState
@@ -156,6 +160,93 @@ def test_bools_rejected(flag):
 def test_finite_numpy_scalars_still_accepted():
     assert is_k_positive(4, np.float32(0.1), np.float16(0.1), 2).member
     assert schmidt_number(4, np.float64(0.0), np.int64(0)).schmidt_number == 1
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        pytest.param(is_k_positive, (3.0, Fraction(1, 3), 0, 1), id="float-d-exact"),
+        pytest.param(is_k_positive, (4.5, 0.1, 0.1, 2), id="fractional-d"),
+        pytest.param(is_k_positive, (4, 0, 0, True), id="bool-k"),
+        pytest.param(is_k_positive, (4, 0.1, 0.1, 2.0), id="float-k"),
+        pytest.param(schmidt_membership, (np.float64(4), Fraction(1, 5), 0, 2), id="numpy-float-d"),
+        pytest.param(schmidt_number, (4.0, Fraction(1, 5), 0), id="float-d-profile"),
+        pytest.param(k_positivity_max, (True, 0.1, 0.1), id="bool-d-profile"),
+        pytest.param(k_superpositivity_max, (Fraction(4), 0, 0), id="fraction-d-profile"),
+        pytest.param(schmidt_number, (0, 0.1, 0.1), id="zero-d-profile"),
+        pytest.param(k_positivity_max, (-3, 0, 0), id="negative-d-profile"),
+    ],
+)
+def test_non_integer_or_too_small_d_and_k_rejected(call, args):
+    with pytest.raises(ValueError):
+        call(*args)
+
+
+def test_numpy_integer_d_and_k_give_the_python_int_answer():
+    # margins past the int64 range: a numpy d must not reach the integer path
+    x, y = Fraction(-1, 2**61 - 1), Fraction(2**40, 2**62 - 57)
+    for d in (5, 6):
+        for k in range(1, d + 1):
+            for member in (is_k_positive, schmidt_membership):
+                want = member(d, x, y, k)
+                got = member(np.int64(d), x, y, np.int32(k))
+                assert got == want and type(got.margin) is Fraction
+        assert schmidt_number(np.int64(d), x, y).per_k == schmidt_number(d, x, y).per_k
+
+
+def _exact_verdict_lines():
+    """One line per exact single-k verdict: the call, status, margin repr and type.
+
+    d = 2..12, every k, both kinds, at every exact corner of every region of
+    d, 150 seeded rationals (denominators up to 60 and up to 10^6), 20 small
+    int points and 10 mixed int/Fraction points.
+    """
+    for d in range(2, 13):
+        corners = sorted(
+            {
+                v
+                for vertices in (map_region_vertices, state_region_vertices)
+                for k in range(1, d + 1)
+                for v in vertices(d, k, exact=True)
+            }
+        )
+        for k in range(1, d + 1):
+            rng = random.Random(100 * d + k)
+            pts = list(corners)
+            for i in range(150):
+                den = rng.randint(1, 60 if i % 2 else 10**6)
+                pts.append(tuple(Fraction(rng.randint(-den, 3 * den // 2), den) for _ in "xy"))
+            pts += [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(20)]
+            for _ in range(5):
+                den = rng.randint(2, 1000)
+                f = Fraction(rng.randint(-den, den), den)
+                n = rng.randint(-1, 1)
+                pts += [(n, f), (f, n)]
+            for member in (is_k_positive, schmidt_membership):
+                for x, y in pts:
+                    v = member(d, x, y, k)
+                    yield (
+                        f"{member.__name__} {d} {k} {x!r} {y!r} "
+                        f"{v.status} {v.margin!r} {type(v.margin).__name__}\n"
+                    )
+
+
+def test_exact_verdicts_match_the_pinned_digest():
+    """32,832 exact verdicts hash to the digest of the Fraction-slack evaluator.
+
+    The digest was computed with the earlier exact evaluator, which ran every
+    slack and the conic in Fraction arithmetic, before exact margins moved to
+    integer numerators over one common denominator.  It pins that the move
+    changed no status, no margin value or repr and no margin type (int inputs
+    keep int margins).
+    """
+    h = hashlib.sha256()
+    n = 0
+    for line in _exact_verdict_lines():
+        h.update(line.encode())
+        n += 1
+    assert n == 32832
+    assert h.hexdigest() == "8d4effb8264d93ce61ab2a34d93a1868ca5080b35a91fa60434eb3f6449e4dfe"
 
 
 def test_block_positivity_wrappers():

@@ -40,6 +40,15 @@ def test_kpos_conic_d4_k3_coefficients():
     assert kpos_conic(4, 3, exact=True).coefficients() == (11, -2, 3, -10, -2, -1)
 
 
+@pytest.mark.parametrize("d,k", [(4.0, 3), (4, 3.0), (True, 1), (4, True)])
+def test_cached_builders_refuse_a_non_integer_d_or_k(d, k):
+    # the (4, 3) entries exist first, so an equal float or bool key must not hit them
+    kpos_conic(4, 3, exact=True), dual_conic(4, 3), map_region_vertices(4, 3, exact=True)
+    for build in (kpos_conic, dual_conic, map_region_vertices, state_region_vertices):
+        with pytest.raises(ValueError):
+            build(d, k)
+
+
 def test_kpos_conic_d5_matches_display():
     for k in (3, 4):
         expected = (5 * k - 1, -(122 - 30 * k), 4, -(5 * k - 2), -3, -1)

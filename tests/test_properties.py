@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schmidt_cone import geometry
 from schmidt_cone.classify import (
     BOUNDARY_TOL,
     is_k_positive,
@@ -13,12 +14,28 @@ from schmidt_cone.classify import (
     schmidt_membership,
     schmidt_number,
 )
+from schmidt_cone.geometry import (
+    map_region_vertices,
+    region_case,
+    region_margin,
+    state_region_vertices,
+)
+from schmidt_cone.oracles import witness_pairing
+from schmidt_cone.symmetry import CovariantMap, InvariantState
 
 # rationals over the box that holds every region for d >= 2, small
 # denominators included so that corners and boundary lines get hit
 coords = st.fractions(min_value=-1, max_value=Fraction(3, 2), max_denominator=120)
 dims = st.integers(min_value=2, max_value=8)
 fast = settings(deadline=None, max_examples=150)
+# exact inputs of every shape: small and large denominators, ints, and mixes
+exact_coords = st.one_of(
+    coords,
+    st.fractions(min_value=-1, max_value=Fraction(3, 2), max_denominator=10**6),
+    st.integers(min_value=-3, max_value=3),
+)
+all_dims = st.integers(min_value=2, max_value=12)
+kinds = st.sampled_from(["map", "state"])
 
 
 @fast
@@ -50,3 +67,60 @@ def test_state_membership_is_upward_closed_in_k(d, a, b):
 @given(dims, coords, coords)
 def test_superpositivity_min_k_is_the_schmidt_number(d, p, q):
     assert k_superpositivity_max(d, p, q).min_k == schmidt_number(d, p, q).schmidt_number
+
+
+def _table_margin(kind, d, k, x, y):
+    """The region row evaluated in the inputs' own arithmetic: its slacks and
+    the exact conic called on ints and Fractions, reduced with min and max."""
+    row = geometry._REGIONS[kind, region_case(d, k)]
+    slacks = row.slacks(d, k, x, y)
+    if row.conic is None:
+        return min(slacks)
+    inner = -row.conic(d, k, True)(x, y)
+    return max(min(slacks), inner) if row.union else min(*slacks, inner)
+
+
+@settings(deadline=None, max_examples=400)
+@given(kinds, all_dims, st.data(), exact_coords, exact_coords)
+def test_integer_margin_equals_the_table_on_fractions(kind, d, data, x, y):
+    k = data.draw(st.integers(min_value=1, max_value=d))
+    got = region_margin(kind, d, k, x, y, exact=True)
+    want = _table_margin(kind, d, k, x, y)
+    assert got == want
+    assert type(got) is type(want)
+    assert type(got) is (int if type(x) is int and type(y) is int else Fraction)
+
+
+def test_every_exact_corner_reads_boundary_with_margin_zero():
+    for kind, vertices, member in (
+        ("map", map_region_vertices, is_k_positive),
+        ("state", state_region_vertices, schmidt_membership),
+    ):
+        for d in range(2, 13):
+            for k in range(1, d + 1):
+                for x, y in vertices(d, k, exact=True):
+                    v = member(d, x, y, k)
+                    assert v.status == "boundary", (kind, d, k, x, y)
+                    assert v.margin == 0 and type(v.margin) is Fraction
+
+
+def _convex_combination(data, corners):
+    weights = data.draw(
+        st.lists(st.integers(min_value=0, max_value=30), min_size=len(corners), max_size=len(corners))
+        .filter(any)
+    )
+    total = sum(weights)
+    return tuple(sum(w * c[i] for w, c in zip(weights, corners)) / total for i in (0, 1))
+
+
+@fast
+@given(all_dims, st.data())
+def test_choi_duality_on_convex_combinations_of_corners(d, data):
+    # both regions are convex, so a mix of exact corners is an exact member
+    k = data.draw(st.integers(min_value=1, max_value=d))
+    p, q = _convex_combination(data, map_region_vertices(d, k, exact=True))
+    a, b = _convex_combination(data, state_region_vertices(d, k, exact=True))
+    assert is_k_positive(d, p, q, k).member
+    assert schmidt_membership(d, a, b, k).member
+    w = witness_pairing(InvariantState(d, a, b), CovariantMap(d, p, q))
+    assert type(w) is Fraction and w >= 0
