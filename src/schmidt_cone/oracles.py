@@ -432,8 +432,10 @@ def witness_pairing(s: InvariantState, m: CovariantMap):
 
 
 def witness_points(d: int, k: int, arc_samples: int = 256) -> list[tuple[float, float]]:
-    """Extreme points of the k-positivity region: vertices plus arc samples."""
-    rb = map_region_boundary(d, k, arc_samples=max(2, arc_samples))
+    """Extreme points of the k-positivity region: vertices plus arc samples (>= 2)."""
+    if arc_samples < 2:
+        raise ValueError(f"arc_samples must be >= 2, got {arc_samples}")
+    rb = map_region_boundary(d, k, arc_samples=arc_samples)
     pts = list(rb.vertices)
     for arc in rb.arcs:
         pts.extend(arc.samples[1:-1])
@@ -683,10 +685,14 @@ def grid_agreement(
     fresh Haar frames (seeded per point) are tested.  A disagreement is an
     interior point with any violating frame, or an exterior point with none.
     Exterior violations found only by random frames are counted as findings,
-    not disagreements.
+    not disagreements.  n_random and workers must be at least 1.
     """
+    if n_random < 1:
+        raise ValueError(f"n_random must be >= 1, got {n_random}")
     if workers is None:
         workers = default_workers()
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     ks = tuple(range(1, d + 1)) if ks is None else ks
     chunk = 10
     tasks = []

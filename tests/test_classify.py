@@ -182,6 +182,30 @@ def test_non_integer_or_too_small_d_and_k_rejected(call, args):
         call(*args)
 
 
+@pytest.mark.parametrize(
+    "tol",
+    [float("nan"), float("inf"), -float("inf"), -100.0, -1e-12, np.float64("nan"), True, np.bool_(False)],
+)
+@pytest.mark.parametrize("x, y", [(0.25, 0.1), (Fraction(1, 4), 0)])
+def test_bad_tolerance_rejected(tol, x, y):
+    # NaN or inf would read every point as boundary, a negative tol as inside
+    for call, args in (
+        (is_k_positive, (4, x, y, 2)),
+        (schmidt_membership, (4, x, y, 3)),
+        (k_positivity_max, (4, x, y)),
+        (schmidt_number, (4, x, y)),
+        (k_superpositivity_max, (4, x, y)),
+    ):
+        with pytest.raises(ValueError):
+            call(*args, tol=tol)
+
+
+def test_zero_and_exact_tolerances_accepted():
+    assert k_positivity_max(4, 0.0, 1.0, tol=0).max_k == 1
+    assert schmidt_number(4, 0.0, 0.0, tol=Fraction(1, 10)).schmidt_number == 1
+    assert is_k_positive(4, 1.0, 0.0, 4, tol=0.0).status == "boundary"
+
+
 def test_numpy_integer_d_and_k_give_the_python_int_answer():
     # margins past the int64 range: a numpy d must not reach the integer path
     x, y = Fraction(-1, 2**61 - 1), Fraction(2**40, 2**62 - 57)
@@ -192,6 +216,10 @@ def test_numpy_integer_d_and_k_give_the_python_int_answer():
                 got = member(np.int64(d), x, y, np.int32(k))
                 assert got == want and type(got.margin) is Fraction
         assert schmidt_number(np.int64(d), x, y).per_k == schmidt_number(d, x, y).per_k
+        # in float mode too: float32 inputs stay in float32 whatever the type of d
+        p, q = np.float32(0.3), np.float32(-0.1)
+        for profile in (k_positivity_max, schmidt_number):
+            assert profile(np.int64(d), p, q).per_k == profile(d, p, q).per_k
 
 
 def _exact_verdict_lines():
@@ -247,6 +275,70 @@ def test_exact_verdicts_match_the_pinned_digest():
         n += 1
     assert n == 32832
     assert h.hexdigest() == "8d4effb8264d93ce61ab2a34d93a1868ca5080b35a91fa60434eb3f6449e4dfe"
+
+
+_PROFILES = (k_positivity_max, schmidt_number, k_superpositivity_max)
+
+
+def _profile_lines():
+    """One line per profile call: the call, its headline answer, and for every
+    k the status, margin repr and margin type.
+
+    d = 2..12, the three profile functions, at every exact corner of every
+    region of d, 40 seeded rationals, 10 small int points, 10 mixed
+    int/Fraction points, each exact (as drawn), as Python floats and as numpy
+    float64 scalars; and in float mode the four signed zeros and four points
+    whose slacks overflow to inf or nan, where the order of each min matters.
+    """
+    extremes = [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)]
+    extremes += [(1e308, 1e308), (-1e308, 1e308), (1e300, -1e300), (-1.7e308, -1.7e308)]
+    for d in range(2, 13):
+        pts = sorted(
+            {
+                v
+                for vertices in (map_region_vertices, state_region_vertices)
+                for k in range(1, d + 1)
+                for v in vertices(d, k, exact=True)
+            }
+        )
+        rng = random.Random(d)
+        for i in range(40):
+            den = rng.randint(1, 60 if i % 2 else 10**6)
+            pts.append(tuple(Fraction(rng.randint(-den, 3 * den // 2), den) for _ in "xy"))
+        pts += [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(10)]
+        for _ in range(5):
+            f = Fraction(rng.randint(-50, 50), rng.randint(2, 50))
+            n = rng.randint(-1, 1)
+            pts += [(n, f), (f, n)]
+        runs = [pts, [(float(x), float(y)) for x, y in pts] + extremes]
+        runs.append([(np.float64(x), np.float64(y)) for x, y in runs[1]])
+        for func in _PROFILES:
+            for run in runs:
+                for x, y in run:
+                    res = func(d, x, y)
+                    head = res.schmidt_number if func is schmidt_number else res.max_k
+                    per_k = " ".join(
+                        f"{v.status} {v.margin!r} {type(v.margin).__name__}" for v in res.per_k
+                    )
+                    yield f"{func.__name__} {d} {x!r} {y!r} {head} {per_k}\n"
+
+
+def test_profiles_match_the_pinned_digest():
+    """Every profile result hashes to the digest of the per-k evaluator.
+
+    The digest was computed before profiles were evaluated in one compiled
+    pass, when each profile called the single-k verdict once per k.  It pins
+    that the one-pass evaluator changed no status, no margin value or repr,
+    no margin type and no headline answer, in exact and float mode alike.
+    """
+    h = hashlib.sha256()
+    n = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing points
+        for line in _profile_lines():
+            h.update(line.encode())
+            n += 1
+    assert n == 9195
+    assert h.hexdigest() == "2ee020852eb61259a1cbb8578d8b8b7ea50cebfef272131b5daf811259c557e1"
 
 
 def test_block_positivity_wrappers():

@@ -221,6 +221,43 @@ def test_scalar_outside_the_float_range_is_a_usage_error(capsys):
     assert code == 0 and json.loads(out)["max_k"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        pytest.param(["classify-map", "--d", "4", "--p", "5", "--q", "5", "--tol", "nan"],
+                     "error: non-finite input nan\n", id="map-nan"),
+        pytest.param(["classify-map", "--d", "4", "--p", "5", "--q", "5", "--tol", "inf"],
+                     "error: non-finite input inf\n", id="map-inf"),
+        pytest.param(["classify-state", "--d", "4", "--a", "5", "--b", "5", "--tol", "-100"],
+                     "error: negative tolerance -100.0\n", id="state-negative"),
+        pytest.param(["classify-state", "--d", "4", "--a", "1/5", "--b", "0", "--exact", "--tol", "nan"],
+                     "error: non-finite input nan\n", id="state-exact-nan"),
+    ],
+)
+def test_bad_tolerance_is_a_usage_error(capsys, argv, err):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        pytest.param(["witness", "--d", "4", "--a", "0.3", "--b", "0", "--k", "3", "--arc-samples", "0"],
+                     "error: arc_samples must be >= 2, got 0\n", id="witness-no-arc-samples"),
+        pytest.param(["verify", "--suite", "tomiyama", "--d", "3", "--grid", "5", "--frames", "0"],
+                     "error: n_random must be >= 1, got 0\n", id="tomiyama-no-frames"),
+        pytest.param(["verify", "--suite", "tomiyama", "--d", "3", "--grid", "5", "--workers", "0"],
+                     "error: workers must be >= 1, got 0\n", id="tomiyama-no-workers"),
+    ],
+)
+def test_vacuous_verification_is_a_usage_error(capsys, argv, err):
+    # each of these used to answer (found: false, consistent) without testing
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
+
+
 @pytest.mark.parametrize("suite", ["frames", "duality"])
 def test_verify_rejects_d_below_2(capsys, suite):
     assert main(["verify", "--suite", suite, "--d", "1"]) == 2

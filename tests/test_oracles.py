@@ -276,6 +276,16 @@ def test_witness_points_counts():
     assert len(witness_points(4, 3, arc_samples=64)) == 4 + 62
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("arc_samples", [-1, 0, 1])
+def test_witness_points_refuse_fewer_than_two_arc_samples(k, arc_samples):
+    # refused at every k, with or without an arc to sample
+    with pytest.raises(ValueError):
+        witness_points(4, k, arc_samples=arc_samples)
+    with pytest.raises(ValueError):
+        witness_violation_search(InvariantState(4, 0.3, 0.0), k, arc_samples=arc_samples)
+
+
 def test_falsifier_on_identity_finds_nothing():
     assert block_positivity_falsifier(np.eye(9), 2, iters=30, seed=0) is None
 
@@ -324,6 +334,13 @@ def test_duality_spot_values():
     # EB Choi I/d^2 against any positive map pairs to Tr(C_L)/d^2 = 1/d^2
     X = np.eye(d * d) / d**2
     assert pairing(X, InvariantState(d, 0.3, 0.1).matrix()) == pytest.approx(1 / d**2, abs=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [dict(n_random=0), dict(n_random=-5), dict(workers=0), dict(workers=-1)])
+def test_grid_agreement_refuses_no_frames_and_no_workers(kwargs):
+    # no random frame leaves interior points untested; no worker runs nothing
+    with pytest.raises(ValueError):
+        grid_agreement(3, grid_n=5, **{"n_random": 5, "workers": 1, **kwargs})
 
 
 def test_grid_agreement_small_scale():

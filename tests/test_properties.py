@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from schmidt_cone.classify import (
 from schmidt_cone.geometry import (
     map_region_vertices,
     region_case,
-    region_margin,
     state_region_vertices,
 )
 from schmidt_cone.oracles import witness_pairing
@@ -84,11 +84,46 @@ def _table_margin(kind, d, k, x, y):
 @given(kinds, all_dims, st.data(), exact_coords, exact_coords)
 def test_integer_margin_equals_the_table_on_fractions(kind, d, data, x, y):
     k = data.draw(st.integers(min_value=1, max_value=d))
-    got = region_margin(kind, d, k, x, y, exact=True)
+    got = (is_k_positive if kind == "map" else schmidt_membership)(d, x, y, k).margin
     want = _table_margin(kind, d, k, x, y)
     assert got == want
     assert type(got) is type(want)
     assert type(got) is (int if type(x) is int and type(y) is int else Fraction)
+
+
+# float inputs of every shape: Python floats with both signed zeros, and
+# numpy float scalars of two widths
+float_coords = st.one_of(
+    st.floats(min_value=-1, max_value=1.5, allow_subnormal=False),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-1, max_value=1.5).map(np.float64),
+    st.floats(min_value=-1, max_value=1.5, width=32).map(np.float32),
+)
+_SINGLE_K = {k_positivity_max: is_k_positive, schmidt_number: schmidt_membership,
+             k_superpositivity_max: schmidt_membership}
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from(list(_SINGLE_K)),
+    st.one_of(all_dims, all_dims.map(np.int64)),
+    st.one_of(
+        st.tuples(exact_coords, exact_coords),
+        st.tuples(float_coords, float_coords),
+        st.tuples(exact_coords, float_coords),
+    ),
+)
+def test_profiles_equal_their_single_k_verdicts(profile, d, point):
+    # a profile is one compiled pass over every k; each of its verdicts must
+    # be the single-k verdict to the margin's repr and type
+    x, y = point
+    per_k = profile(d, x, y).per_k
+    assert len(per_k) == d
+    for k, got in enumerate(per_k, start=1):
+        want = _SINGLE_K[profile](d, x, y, k)
+        assert got.status == want.status
+        assert repr(got.margin) == repr(want.margin)
+        assert type(got.margin) is type(want.margin)
 
 
 def test_every_exact_corner_reads_boundary_with_margin_zero():
