@@ -8,35 +8,31 @@ evaluation modes:
   equality, tolerance ignored).  The point is put over one common
   denominator D, every line slack (times D) and the conic slack (times D^2)
   is evaluated as a plain integer, and only the chosen margin becomes a
-  Fraction, one per verdict (an int when both inputs are ints);
+  Fraction, one per single-k verdict (an int when both inputs are ints);
 * float: each constraint slack is compared against a boundary tolerance
   (default 1e-9), which must be finite and non-negative.
 
-A profile (``k_positivity_max``, ``schmidt_number``) is evaluated in one
-pass: the inputs are checked once, exactness is decided once, and one
-function compiled per (kind, d, mode) evaluates each distinct line of the
-d regions once and returns the d margins.  A single-k verdict is the same
-function compiled for that k alone.
+A profile (``k_positivity_max``, ``schmidt_number``) is d single-k verdicts,
+each checking its own inputs.
 
 Margins are signed slack surrogates: the minimum slack across the active
 constraint system, positive inside.  For the union-shaped region (filled
 ellipse OR the five-line system) the margin is the max of the two parts.
 
 The constraint systems themselves are not written here: they live in the
-region table of ``geometry``, which compiles them for the scalar decisions
-and evaluates them elementwise for the margin grids (``region_margin``).
+region table of ``geometry``, and ``geometry.region_margin`` evaluates them
+for the scalar decisions and the vectorized margin grids alike.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .geometry import _is_exact, _margin_function, region_margin
+from .geometry import _is_exact, region_case, region_margin
 
 __all__ = [
     "MembershipVerdict",
@@ -86,35 +82,30 @@ class MembershipVerdict:
     status: str
     margin: object
 
+    def __init__(self, status: str, margin):
+        # The generated frozen __init__ sets each field through
+        # object.__setattr__, which costs about twice this; every profile
+        # builds d verdicts.
+        fields = self.__dict__
+        fields["status"] = status
+        fields["margin"] = margin
+
     @property
     def member(self) -> bool:
         return self.status != "outside"
 
 
-def _margins(kind: str, d: int, k, x, y, tol) -> tuple:
-    """The margins of (x, y) at k, or at every k = 1..d when k is None, and
-    whether they are exact; the inputs are checked and exactness decided once.
-    A NaN, infinite, negative or bool ``tol`` is refused: it would read every
-    point as boundary, or as inside.
+def _verdict(kind: str, d: int, k: int, x, y, tol) -> MembershipVerdict:
+    """The verdict on (x, y) in the (kind, d, k) region.
+
+    A NaN, infinite, negative or bool ``tol`` is refused: it would read
+    every point as boundary, or as inside.
     """
     _check_finite(x, y, tol)
     if tol < 0:
         raise ValueError(f"negative tolerance {tol!r}")
-    if not _is_exact(x, y):
-        return _margin_function(kind, d, k, False)(x, y), False
-    X, D = x.numerator, x.denominator
-    Y, DY = y.numerator, y.denominator
-    if DY != D:
-        g = math.gcd(D, DY)
-        X *= DY // g
-        Y *= D // g
-        D *= DY // g
-    # int inputs have D = 1, so the margin is the numerator itself: m * 1
-    over = operator.mul if isinstance(x, int) and isinstance(y, int) else Fraction
-    return _margin_function(kind, d, k, True)(X, Y, D, over), True
-
-
-def _verdict(margin, exact: bool, tol: float) -> MembershipVerdict:
+    exact = _is_exact(x, y)
+    margin = region_margin(kind, d, k, x, y, exact=exact)
     if exact:
         sign = margin.numerator  # an int, cheaper to compare than a Fraction
         if sign > 0:
@@ -142,8 +133,7 @@ def is_k_positive(d: int, p, q, k: int, tol: float = BOUNDARY_TOL) -> Membership
     q - (d-1)p <= 1 (the p <-> q transpose symmetry of the family); this
     reading is cross-checked by the frame-compression oracle suite.
     """
-    (margin,), exact = _margins("map", d, k, p, q, tol)
-    return _verdict(margin, exact, tol)
+    return _verdict("map", d, k, p, q, tol)
 
 
 @dataclass(frozen=True)
@@ -157,8 +147,9 @@ class KPositivityProfile:
 
 def k_positivity_max(d: int, p, q, tol: float = BOUNDARY_TOL) -> KPositivityProfile:
     """Largest k for which the map is k-positive (boundary counts as member)."""
-    margins, exact = _margins("map", d, None, p, q, tol)
-    per_k = tuple([_verdict(m, exact, tol) for m in margins])
+    if type(d) is not int or d < 2:
+        region_case(d, 1)  # refuses a float or bool d and d < 2
+    per_k = tuple([is_k_positive(d, p, q, k, tol) for k in range(1, d + 1)])
     max_k = 0
     for k, v in enumerate(per_k, start=1):
         if v.member:
@@ -177,8 +168,7 @@ def schmidt_membership(d: int, a, b, k: int, tol: float = BOUNDARY_TOL) -> Membe
     For d/2 < k < d the region is the filled dual ellipse united with the
     five-line system, so the margin is the max of the two sub-margins.
     """
-    (margin,), exact = _margins("state", d, k, a, b, tol)
-    return _verdict(margin, exact, tol)
+    return _verdict("state", d, k, a, b, tol)
 
 
 @dataclass(frozen=True)
@@ -204,8 +194,9 @@ def schmidt_number(d: int, a, b, tol: float = BOUNDARY_TOL) -> StateClassificati
     State-ness is decided by membership in the k=d region (the PSD triangle),
     which is exact, rather than by an eigenvalue computation.
     """
-    margins, exact = _margins("state", d, None, a, b, tol)
-    per_k = tuple([_verdict(m, exact, tol) for m in margins])
+    if type(d) is not int or d < 2:
+        region_case(d, 1)  # refuses a float or bool d and d < 2
+    per_k = tuple([schmidt_membership(d, a, b, k, tol) for k in range(1, d + 1)])
     if not per_k[-1].member:
         return StateClassification(d, a, b, None, per_k)
     sn = next(k for k, v in enumerate(per_k, start=1) if v.member)
@@ -265,4 +256,4 @@ def schmidt_margin_grid(d: int, k: int, A, B) -> np.ndarray:
 def _margin_grid(kind: str, d: int, k: int, X, Y) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    return region_margin(kind, d, k, X, Y)
+    return region_margin(kind, d, k, X, Y, np.minimum.reduce, np.maximum)

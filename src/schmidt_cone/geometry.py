@@ -3,10 +3,10 @@
 The region facts live in one table (section "The region table"): for each
 (kind, case) the boundary lines in traversal order, each written once as its
 affine slack, plus the case-3 conic and the case-3 state chord.  Everything
-else is derived from it: the membership margins of ``classify`` (compiled per
-profile for scalars, elementwise in ``region_margin`` for grids), the corners
-(exact intersections of consecutive lines; only the ends of the map's case-3
-arc are data), the boundaries and the five tangents of the dual ellipse.
+else is derived from it: the membership margins of ``classify`` (scalar and
+grid alike, through ``region_margin``), the corners (exact intersections of
+consecutive lines; only the ends of the map's case-3 arc are data), the
+boundaries and the five tangents of the dual ellipse.
 
 Also implements the boundary conic of the k-positivity region, conic
 classification, the pairing-induced linear isomorphism between witness and
@@ -23,7 +23,6 @@ point.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,10 +62,12 @@ def _is_exact(*vals) -> bool:
     """Whether every value is an int or a Fraction, so arithmetic on them is exact.
 
     A plain loop rather than ``all`` over a generator: every scalar
-    classification calls it, and the loop costs about half as much.
+    classification calls it, and the loop costs about half as much.  A
+    Python float is turned away before ``isinstance``, whose test against
+    Fraction (an ABC) costs more than the rest of the loop.
     """
     for v in vals:
-        if not isinstance(v, (int, Fraction)):
+        if type(v) is float or not isinstance(v, (int, Fraction)):
             return False
     return True
 
@@ -499,7 +500,6 @@ class _Region:
     line, the chord.  ``anchor`` is a point on the conic away from the arc.
     """
 
-    lines: tuple
     slacks: object
     conic: object = None
     union: bool = False
@@ -508,7 +508,7 @@ class _Region:
 
 
 def _region(*lines, **conic) -> _Region:
-    return _Region(lines, _slacks(*lines), **conic)
+    return _Region(_slacks(*lines), **conic)
 
 
 _TRIANGLE = _region(_L1, _L8, _L5)  # k = d: the map and state regions coincide
@@ -543,69 +543,65 @@ _REGIONS = {
 }
 
 
-def region_margin(kind: str, d: int, k: int, x, y) -> np.ndarray:
-    """Signed margins of the float arrays x, y in the (kind, d, k) region, >= 0 on members.
+def region_margin(kind: str, d: int, k: int, x, y, lowest=min, highest=max, exact=False):
+    """Signed margin of (x, y) in the (kind, d, k) region, >= 0 on members.
 
     The smallest line slack, cut by the conic slack for maps and united with
-    it for states, elementwise.  Scalar decisions take the same table through
-    ``_margin_function`` and round the same, point by point.
+    it for states.  ``lowest`` reduces a list and ``highest`` a pair: min and
+    max for scalars, np.minimum.reduce and np.maximum for arrays.
+
+    Without ``exact`` the case-3 conic is the float one, for floats and
+    arrays.  ``exact`` requires int/Fraction inputs and gives the margin in
+    exact arithmetic.  The point is put over one common denominator D, each line
+    slack times D and the conic slack times D^2 are plain integers from the
+    row's integer coefficients (``_integer_row``), and the chosen one becomes
+    a single Fraction: the same value as the table evaluated on Fractions,
+    and an int when x and y both are.
     """
+    if exact:
+        lines, conic, union = _integer_row(kind, d, k)
+        X, D = x.numerator, x.denominator
+        Y, DY = y.numerator, y.denominator
+        if DY != D:
+            g = math.gcd(D, DY)
+            X *= DY // g
+            Y *= D // g
+            D *= DY // g
+        m = min([c * D - nx * X - ny * Y for c, nx, ny in lines])
+        if conic is not None:
+            A, B, C, CX, CY, C0 = conic
+            inner = -(A * X * X + B * X * Y + C * Y * Y + (CX * X + CY * Y + C0 * D) * D)
+            m = max(m * D, inner) if union else min(m * D, inner)
+            D *= D
+        if isinstance(x, int) and isinstance(y, int):
+            return m
+        return Fraction(m, D)
     row = _REGIONS[kind, region_case(d, k)]
     slacks = row.slacks(d, k, x, y)
-    if row.conic is not None:
-        inner = -row.conic(d, k, False)(x, y)
-        if row.union:
-            return np.maximum(np.minimum.reduce(slacks), inner)
-        slacks.append(inner)
-    return np.minimum.reduce(slacks)
+    if row.conic is None:
+        return lowest(slacks)
+    inner = -row.conic(d, k, False)(x, y)
+    if row.union:
+        return highest(lowest(slacks), inner)
+    slacks.append(inner)
+    return lowest(slacks)
 
 
-# -conic(x, y) in the order of Conic.__call__, and D^2 times it on x = X/D, y = Y/D
-_FLOAT_CONIC = "-({!r} * x * x + {!r} * x * y + {!r} * y * y + {!r} * x + {!r} * y + {!r})"
-_EXACT_CONIC = "-({} * X * X + {} * X * Y + {} * Y * Y + ({} * X + {} * Y + {} * D) * D)"
+@lru_cache(maxsize=None, typed=True)
+def _integer_row(kind: str, d: int, k: int) -> tuple:
+    """The (kind, d, k) row on integer coefficients, for exact margins.
 
-
-@lru_cache(maxsize=1024, typed=True)
-def _margin_function(kind: str, d: int, k, exact: bool):
-    """The (kind, d) margins at k, or at every k = 1..d when k is None, as one
-    function compiled from the table: (x, y) -> floats, or (X, Y, D, F) ->
-    F(numerator, D or D^2) per k on the integer numerators of x = X/D, y = Y/D.
-
-    Lines are bound to the values of d and k, so that CPython folds their
-    integer parts (``23 * x`` rounds as ``(k * d - 1) * x``), and each
-    distinct one is evaluated once.  Each k reduces its own lines in the
-    row's order, so ties and signed zeros fall as in the table.  Typed, so
-    that ``region_case`` refuses a float or bool d or k; bounded, as a profile
-    at large d is large, yet holding every function of both kinds and modes
-    up to d = 16.
+    Each line as (c, nx, ny) with nx x + ny y <= c, the conic's six
+    coefficients or None, and whether the conic is united with the lines.
+    Typed, so that a float or bool d or k misses the cache and is refused by
+    ``region_case``; numpy integers become Python ints here, so the integer
+    arithmetic cannot overflow.
     """
-    region_case(d, 1 if k is None else k)
-    d = int(d)
-    names, body, margins = {}, [], []
-
-    def local(expr: str) -> str:
-        if expr not in names:
-            names[expr] = f"s{len(names)}"
-            body.append(f"    {names[expr]} = {expr}\n")
-        return names[expr]
-
-    for j in range(1, d + 1) if k is None else (int(k),):
-        row = _REGIONS[kind, region_case(d, j)]
-        conic = row.conic and row.conic(d, j, exact).coefficients()
-        if exact:
-            lines = [local(f"{h.c} * D - {h.nx} * X - {h.ny} * Y") for h in _halfplanes(row.slacks, d, j)]
-        else:
-            bind = {"d": str(d), "k": str(j)}
-            lines = [local(re.sub(r"\b[dk]\b", lambda name: bind[name[0]], line)) for line in row.lines]
-        m = f"min({', '.join(lines)})"
-        if conic:  # cut by the conic slack for maps, united with it for states
-            inner = local((_EXACT_CONIC if exact else _FLOAT_CONIC).format(*conic))
-            m = f"{'max' if row.union else 'min'}({m}{' * D' if exact else ''}, {inner})"
-        margins.append(f"F({m}, {'D * D' if conic else 'D'})" if exact else m)
-    args = "X, Y, D, F" if exact else "x, y"
-    namespace = {}
-    exec(f"def margins({args}):\n{''.join(body)}    return ({', '.join(margins)},)\n", namespace)
-    return namespace["margins"]
+    row = _REGIONS[kind, region_case(d, k)]
+    d, k = int(d), int(k)
+    lines = tuple((h.c, h.nx, h.ny) for h in _halfplanes(row.slacks, d, k))
+    conic = None if row.conic is None else row.conic(d, k, True).coefficients()
+    return lines, conic, row.union
 
 
 def _meet(g: HalfPlane, h: HalfPlane) -> tuple:

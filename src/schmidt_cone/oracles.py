@@ -685,8 +685,10 @@ def grid_agreement(
     fresh Haar frames (seeded per point) are tested.  A disagreement is an
     interior point with any violating frame, or an exterior point with none.
     Exterior violations found only by random frames are counted as findings,
-    not disagreements.  n_random and workers must be at least 1.
+    not disagreements.  grid_n, n_random and workers must be at least 1.
     """
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
     if n_random < 1:
         raise ValueError(f"n_random must be >= 1, got {n_random}")
     if workers is None:
@@ -742,8 +744,10 @@ def witness_grid_check(
     """Witness search finds a violation iff the classifier says SN > k.
 
     Runs over a grid inside the PSD triangle, all k, excluding a band around
-    each region boundary.
+    each region boundary.  grid_n must be at least 1.
     """
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
     verts = np.asarray(state_region_vertices(d, d, exact=False))
     a_axis = np.linspace(verts[:, 0].min(), verts[:, 0].max(), grid_n)
     b_axis = np.linspace(verts[:, 1].min(), verts[:, 1].max(), grid_n)

@@ -216,10 +216,6 @@ def test_numpy_integer_d_and_k_give_the_python_int_answer():
                 got = member(np.int64(d), x, y, np.int32(k))
                 assert got == want and type(got.margin) is Fraction
         assert schmidt_number(np.int64(d), x, y).per_k == schmidt_number(d, x, y).per_k
-        # in float mode too: float32 inputs stay in float32 whatever the type of d
-        p, q = np.float32(0.3), np.float32(-0.1)
-        for profile in (k_positivity_max, schmidt_number):
-            assert profile(np.int64(d), p, q).per_k == profile(d, p, q).per_k
 
 
 def _exact_verdict_lines():
@@ -324,12 +320,13 @@ def _profile_lines():
 
 
 def test_profiles_match_the_pinned_digest():
-    """Every profile result hashes to the digest of the per-k evaluator.
+    """Every profile result hashes to a digest pinned before the change.
 
-    The digest was computed before profiles were evaluated in one compiled
-    pass, when each profile called the single-k verdict once per k.  It pins
-    that the one-pass evaluator changed no status, no margin value or repr,
-    no margin type and no headline answer, in exact and float mode alike.
+    The digest was computed on the code before the tolerance checks and the
+    cheaper verdict construction, with each profile making one single-k call
+    per k.  It pins that no later change to how a profile is evaluated moves
+    a status, a margin value or repr, a margin type or a headline answer, in
+    exact and float mode alike.
     """
     h = hashlib.sha256()
     n = 0

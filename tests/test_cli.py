@@ -249,6 +249,10 @@ def test_bad_tolerance_is_a_usage_error(capsys, argv, err):
                      "error: n_random must be >= 1, got 0\n", id="tomiyama-no-frames"),
         pytest.param(["verify", "--suite", "tomiyama", "--d", "3", "--grid", "5", "--workers", "0"],
                      "error: workers must be >= 1, got 0\n", id="tomiyama-no-workers"),
+        pytest.param(["verify", "--suite", "tomiyama", "--d", "3", "--grid", "0", "--workers", "1"],
+                     "error: grid_n must be >= 1, got 0\n", id="tomiyama-no-grid"),
+        pytest.param(["verify", "--suite", "witness", "--d", "3", "--grid", "0"],
+                     "error: grid_n must be >= 1, got 0\n", id="witness-no-grid"),
     ],
 )
 def test_vacuous_verification_is_a_usage_error(capsys, argv, err):

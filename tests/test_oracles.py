@@ -336,11 +336,21 @@ def test_duality_spot_values():
     assert pairing(X, InvariantState(d, 0.3, 0.1).matrix()) == pytest.approx(1 / d**2, abs=1e-12)
 
 
-@pytest.mark.parametrize("kwargs", [dict(n_random=0), dict(n_random=-5), dict(workers=0), dict(workers=-1)])
-def test_grid_agreement_refuses_no_frames_and_no_workers(kwargs):
-    # no random frame leaves interior points untested; no worker runs nothing
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(n_random=0), dict(n_random=-5), dict(workers=0), dict(workers=-1), dict(grid_n=0), dict(grid_n=-1)],
+)
+def test_grid_agreement_refuses_a_vacuous_run(kwargs):
+    # no random frame leaves interior points untested; no worker or no grid
+    # point checks nothing
     with pytest.raises(ValueError):
-        grid_agreement(3, grid_n=5, **{"n_random": 5, "workers": 1, **kwargs})
+        grid_agreement(3, **{"grid_n": 5, "n_random": 5, "workers": 1, **kwargs})
+
+
+@pytest.mark.parametrize("grid_n", [0, -1])
+def test_witness_grid_check_refuses_an_empty_grid(grid_n):
+    with pytest.raises(ValueError):
+        witness_grid_check(3, grid_n=grid_n)
 
 
 def test_grid_agreement_small_scale():

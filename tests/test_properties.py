@@ -18,6 +18,7 @@ from schmidt_cone.classify import (
 from schmidt_cone.geometry import (
     map_region_vertices,
     region_case,
+    region_margin,
     state_region_vertices,
 )
 from schmidt_cone.oracles import witness_pairing
@@ -84,7 +85,7 @@ def _table_margin(kind, d, k, x, y):
 @given(kinds, all_dims, st.data(), exact_coords, exact_coords)
 def test_integer_margin_equals_the_table_on_fractions(kind, d, data, x, y):
     k = data.draw(st.integers(min_value=1, max_value=d))
-    got = (is_k_positive if kind == "map" else schmidt_membership)(d, x, y, k).margin
+    got = region_margin(kind, d, k, x, y, exact=True)
     want = _table_margin(kind, d, k, x, y)
     assert got == want
     assert type(got) is type(want)
@@ -114,8 +115,8 @@ _SINGLE_K = {k_positivity_max: is_k_positive, schmidt_number: schmidt_membership
     ),
 )
 def test_profiles_equal_their_single_k_verdicts(profile, d, point):
-    # a profile is one compiled pass over every k; each of its verdicts must
-    # be the single-k verdict to the margin's repr and type
+    # each verdict of a profile must be the single-k verdict, to the
+    # margin's repr and type
     x, y = point
     per_k = profile(d, x, y).per_k
     assert len(per_k) == d
