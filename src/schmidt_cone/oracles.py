@@ -314,9 +314,14 @@ def explicit_overlap_minimum(d: int, k: int) -> int:
     return min(vals)
 
 
+def _overlaps(V: np.ndarray) -> np.ndarray:
+    """||V_r^T V_r||_F^2 for each frame V_r of a (restarts, d, k) stack."""
+    return np.sum(np.abs(V.swapaxes(-1, -2) @ V) ** 2, axis=(1, 2))
+
+
 def _overlap_gradient(V: np.ndarray) -> np.ndarray:
-    # f(V) = ||V^T V||_F^2; euclidean gradient is 4 conj(V) (V^T V)
-    return 4.0 * V.conj() @ (V.T @ V)
+    # f(V) = ||V^T V||_F^2; euclidean gradient is 4 conj(V) (V^T V), frame by frame
+    return 4.0 * V.conj() @ (V.swapaxes(-1, -2) @ V)
 
 
 def _reorthonormalize(V: np.ndarray) -> np.ndarray:
@@ -337,31 +342,43 @@ def frame_overlap_minimize(
     (re-orthonormalization after each step) from random starts.  The result
     is always <= the explicit-frame value and cannot drop below the known
     floor max(2k - d, 0) up to rounding.
+
+    The restarts run as one (restarts, d, k) stack: each iteration takes one
+    batched gradient and QR over the restarts still descending, and each
+    restart keeps its own step, accept test and stop at a step below 1e-12.
+    Every restart follows the same path as it would alone, and ties go to
+    the explicit frames, then to the earliest restart.
     """
+    if restarts < 0 or iters < 0:
+        raise ValueError("restarts and iters must be >= 0")
     best_val, best_frame = None, None
     for _, fr in explicit_frames(d, k):
         val = frame_overlap(fr)
         if best_val is None or val < best_val:
             best_val, best_frame = val, fr
+    if restarts == 0:
+        return best_val, best_frame
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d, k)))
-    for _ in range(restarts):
-        V = _reorthonormalize(
-            rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-        )
-        step = 0.05
-        val = float(np.sum(np.abs(V.T @ V) ** 2))
-        for _ in range(iters):
-            cand = _reorthonormalize(V - step * _overlap_gradient(V))
-            cand_val = float(np.sum(np.abs(cand.T @ cand) ** 2))
-            if cand_val < val:
-                V, val = cand, cand_val
-                step *= 1.2
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        if val < best_val:
-            best_val, best_frame = val, Frame(d, k, _reorthonormalize(V))
+    g = rng.standard_normal((restarts, 2, d, k))  # restart by restart: real, then imaginary
+    V = _reorthonormalize(g[:, 0] + 1j * g[:, 1])
+    val = _overlaps(V)
+    step = np.full(restarts, 0.05)
+    live = np.arange(restarts)
+    for _ in range(iters):
+        if live.size == 0:
+            break
+        W, s = V[live], step[live]
+        cand = _reorthonormalize(W - s[:, None, None] * _overlap_gradient(W))
+        cand_val = _overlaps(cand)
+        better = cand_val < val[live]
+        V[live[better]] = cand[better]
+        val[live[better]] = cand_val[better]
+        s = np.where(better, s * 1.2, s * 0.5)
+        step[live] = s
+        live = live[better | (s >= 1e-12)]
+    r = int(np.argmin(val))
+    if val[r] < best_val:
+        best_val, best_frame = float(val[r]), Frame(d, k, _reorthonormalize(V[r]))
     return best_val, best_frame
 
 
@@ -544,7 +561,8 @@ class OracleReport:
             "verdict": self.verdict,
             "witness": self.witness,
             "samples": self.samples,
-            "worst_margin": self.worst_margin,
+            # strict JSON has no Infinity or NaN: a run that measured no margin says null
+            "worst_margin": self.worst_margin if np.isfinite(self.worst_margin) else None,
             "details": self.details,
         }
 
@@ -560,6 +578,8 @@ def duality_sanity(d: int, samples: int = 1000, seed: int = 0) -> OracleReport:
         raise ValueError("d must be >= 2")
     if d > 4:
         raise ValueError("duality sanity is desk-scale only (d <= 4)")
+    if samples < 2:
+        raise ValueError("duality sanity needs samples >= 2, one of each pairing")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(11, d)))
     worst = np.inf
     lo = -1.0 / (d - 1) - 0.3
@@ -808,6 +828,8 @@ def twirl_consistency(
     tol: float = 1e-2,
 ) -> OracleReport:
     """Monte-Carlo twirl vs exact projection on random unit-norm Hermitian inputs."""
+    if n_ops < 1:
+        raise ValueError("n_ops must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7, d)))
     worst = 0.0
     worst_op = None

@@ -179,6 +179,11 @@ def twirl_monte_carlo(X, n_samples: int, seed: int = 0) -> np.ndarray:
     chunks, each driven by an independent counter-based Philox stream keyed by
     (seed, chunk index), and partial sums are accumulated in chunk order.  The
     result therefore does not depend on how chunks might be scheduled.
+
+    A chunk's sum is two real GEMMs, in a fixed order, over the stacked
+    K_i = O_i x O_i with [Re X; Im X] as one operand: first X K_i^T for every
+    i side by side, then the sum over i and the inner index as one
+    contraction of length m d^2.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
@@ -187,17 +192,23 @@ def twirl_monte_carlo(X, n_samples: int, seed: int = 0) -> np.ndarray:
     d = round(np.sqrt(d2))
     if d * d != d2:
         raise ValueError(f"side {d2} is not a perfect square")
-    total = np.zeros_like(X)
+    parts = np.concatenate([X.real, X.imag])  # (2 d^2, d^2)
+    total = np.zeros((2, d2, d2))
     done = 0
     chunk_index = 0
     while done < n_samples:
         m = min(MC_CHUNK, n_samples - done)
         O = haar_orthogonal_batch(d, m, _chunk_rng(seed, chunk_index))
-        K = np.einsum("nij,nkl->nikjl", O, O).reshape(m, d2, d2)
-        total += np.matmul(np.matmul(K, X), K.transpose(0, 2, 1)).sum(axis=0)
+        # K[i, (a, b), (c, e)] = O_i[a, c] O_i[b, e]
+        K = (O[:, :, None, :, None] * O[:, None, :, None, :]).reshape(m * d2, d2)
+        # L[(a, b), (c, e), i] = K_i[(a, b), (c, e)]
+        Ot = np.ascontiguousarray(O.transpose(1, 2, 0))
+        L = (Ot[:, None, :, None] * Ot[None, :, None, :]).reshape(d2, d2 * m)
+        XKt = parts @ K.T  # [(part, row), (i, col)] = (X_part K_i^T)[row, col]
+        total += np.matmul(L, XKt.reshape(2, d2 * m, d2))
         done += m
         chunk_index += 1
-    return total / n_samples
+    return (total[0] + 1j * total[1]) / n_samples
 
 
 def apply_channel_right(m: CovariantMap, X) -> np.ndarray:

@@ -183,6 +183,20 @@ def test_verify_tomiyama_suite_small(capsys):
     assert rep["details"]["disagreements"] == 0
 
 
+def test_verify_output_is_strict_json(capsys):
+    # the one grid point is outside every region, so no interior margin is
+    # measured; that used to print "worst_margin": Infinity
+    code, out = run_cli(capsys, "verify", "--suite", "tomiyama", "--d", "3", "--grid", "1",
+                        "--workers", "1")
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    payload = json.loads(out, parse_constant=refuse)
+    assert code == 0
+    assert payload["reports"]["tomiyama"]["worst_margin"] is None
+
+
 def test_verify_witness_and_duality_suites(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "witness", "--d", "4", "--grid", "50")
     assert code == 0

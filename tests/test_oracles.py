@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from schmidt_cone.classify import is_k_positive
 from schmidt_cone.linalg import is_psd, max_entangled, pairing
 from schmidt_cone.oracles import (
     Frame,
+    OracleReport,
     block_conditions,
     block_conditions_grid,
     block_positivity_falsifier,
@@ -24,6 +26,7 @@ from schmidt_cone.oracles import (
     standard_frame,
     tomiyama_check,
     tomiyama_matrix,
+    twirl_consistency,
     witness_grid_check,
     witness_pairing,
     witness_points,
@@ -199,6 +202,54 @@ def test_frame_overlap_minimize_examples():
     assert frame_overlap(fr) == pytest.approx(val, abs=1e-9)
 
 
+def _descent_cases():
+    """Criterion 4's (d, k) cases, the bench's two frame_minima_check calls
+    at three seeds, and the edge cases of no restart and no iteration."""
+    for d in range(2, 9):
+        for k in range(1, d + 1):
+            yield d, k, 50, 150, 4
+    for seed in (0, 1, 2):
+        for k in range(1, 5):
+            yield 4, k, 10, 150, seed
+        for k in range(1, 7):
+            yield 6, k, 5, 150, seed
+    yield 5, 3, 0, 150, 0
+    yield 5, 3, 3, 0, 0
+
+
+def test_frame_overlap_minimize_matches_the_pinned_digest():
+    """Every descent result hashes to a digest pinned before the restarts ran batched.
+
+    The digest was computed on the sequential descent, one restart after the
+    other.  It pins that running them as one stack moved no value and no bit
+    of any returned frame, ties included.
+    """
+    h = hashlib.sha256()
+    n = 0
+    for d, k, restarts, iters, seed in _descent_cases():
+        val, fr = frame_overlap_minimize(d, k, restarts=restarts, iters=iters, seed=seed)
+        h.update(repr(val).encode())
+        h.update(fr.vectors.tobytes())
+        n += 1
+    assert n == 67
+    assert h.hexdigest() == "12cdee00cccdaab3e7928903dd3c8fc26c6e98565702f006e847fe34efb62876"
+
+
+@pytest.mark.parametrize("kwargs", [{"restarts": -3}, {"iters": -1}])
+def test_frame_overlap_minimize_refuses_negative_counts(kwargs):
+    with pytest.raises(ValueError):
+        frame_overlap_minimize(5, 3, **kwargs)
+
+
+@pytest.mark.parametrize("d, k", [(5, 3), (4, 4), (6, 2)])
+def test_frame_overlap_minimize_without_restarts_returns_the_best_explicit_frame(d, k):
+    vals = [(frame_overlap(fr), fr) for _, fr in explicit_frames(d, k)]
+    best_val, best_fr = min(vals, key=lambda t: t[0])
+    val, fr = frame_overlap_minimize(d, k, restarts=0, seed=1)
+    assert val == best_val
+    assert fr is best_fr or np.array_equal(fr.vectors, best_fr.vectors)
+
+
 def test_block_conditions_trivial_cases():
     for xi in (0.0, 0.3, 1.0):
         assert block_conditions(4, 0, 0, 2, xi)
@@ -322,6 +373,24 @@ def test_duality_sanity_d3():
     assert rep.worst_margin >= -1e-10
     with pytest.raises(ValueError):
         duality_sanity(5)
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_duality_sanity_refuses_fewer_than_two_samples(samples):
+    # samples=0 reported consistent over nothing; samples=1 drew no EB sample
+    with pytest.raises(ValueError):
+        duality_sanity(3, samples=samples)
+
+
+def test_twirl_consistency_refuses_no_operators():
+    with pytest.raises(ValueError):
+        twirl_consistency(3, n_ops=0, n_samples=10)
+
+
+def test_report_dict_writes_a_non_finite_margin_as_null():
+    assert OracleReport("consistent").to_dict()["worst_margin"] is None
+    assert OracleReport("consistent", worst_margin=float("nan")).to_dict()["worst_margin"] is None
+    assert OracleReport("consistent", worst_margin=-0.25).to_dict()["worst_margin"] == -0.25
 
 
 def test_duality_spot_values():

@@ -220,6 +220,26 @@ def test_twirl_monte_carlo_deterministic():
     assert not np.array_equal(out1, out3)
 
 
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("n_samples", [1, 1024, 2500])
+def test_twirl_monte_carlo_matches_a_per_sample_sum(d, n_samples):
+    """The chunked GEMMs equal sum_i K_i X K_i^T over the same Haar draws.
+
+    The reference draws chunks of 1024 from Philox streams keyed by the seed
+    and jumped by the chunk index; 2500 samples end in a partial chunk.
+    """
+    rng = np.random.default_rng(13)
+    X = _random_hermitian(d * d, rng)
+    ref = np.zeros_like(X)
+    for chunk, start in enumerate(range(0, n_samples, 1024)):
+        stream = np.random.Generator(np.random.Philox(key=7).jumped(chunk))
+        for O in haar_orthogonal_batch(d, min(1024, n_samples - start), stream):
+            K = np.kron(O, O)
+            ref += K @ X @ K.T
+    ref /= n_samples
+    assert np.max(np.abs(twirl_monte_carlo(X, n_samples, seed=7) - ref)) <= 1e-13
+
+
 def test_monte_carlo_rejects_bad_sample_count():
     with pytest.raises(ValueError):
         twirl_monte_carlo(np.eye(4), 0)
