@@ -1,8 +1,9 @@
 """k-positivity and Schmidt numbers under standard orthogonal symmetry.
 
-Closed-form region classification for the two-parameter covariant-map and
-invariant-state families, conic boundary geometry via projective duality, and
-independent numerical oracles cross-validating every decision.
+The top level exports the decision engine only: the closed-form classification
+of the covariant-map and invariant-state families and their region geometry,
+which load without numpy.  The numerical oracles that cross-validate every
+decision are the submodules ``oracles``, ``symmetry`` and ``linalg``.
 """
 
 from .classify import (
@@ -33,27 +34,6 @@ from .geometry import (
     pole_of_tangent,
     state_region_boundary,
     state_region_vertices,
-)
-from .linalg import flip, is_psd, kron, max_entangled, pairing, schmidt_spectrum
-from .oracles import (
-    Frame,
-    OracleReport,
-    block_conditions,
-    block_positivity_falsifier,
-    duality_sanity,
-    frame_overlap,
-    frame_overlap_minimize,
-    tomiyama_check,
-    tomiyama_matrix,
-    witness_pairing,
-    witness_violation_search,
-)
-from .symmetry import (
-    CovariantMap,
-    InvariantCoordinates,
-    InvariantState,
-    twirl_exact,
-    twirl_monte_carlo,
 )
 
 __version__ = "0.1.0"

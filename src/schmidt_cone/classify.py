@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .geometry import _is_exact, region_case, region_margin
 
 __all__ = [
@@ -65,6 +63,8 @@ def _check_finite(*vals):
             if not math.isfinite(v):
                 raise ValueError(f"non-finite input {v!r}")
         elif type(v) not in (int, Fraction):
+            import numpy as np
+
             if isinstance(v, (bool, np.bool_)):
                 raise ValueError(f"boolean input {v!r}")
             if not math.isfinite(v):
@@ -243,17 +243,19 @@ def k_superpositivity_max(d: int, p, q, tol: float = BOUNDARY_TOL) -> Superposit
 # ---------------------------------------------------------------------------
 
 
-def kpos_margin_grid(d: int, k: int, P, Q) -> np.ndarray:
+def kpos_margin_grid(d: int, k: int, P, Q):
     """Elementwise k-positivity margin over float arrays P, Q."""
     return _margin_grid("map", d, k, P, Q)
 
 
-def schmidt_margin_grid(d: int, k: int, A, B) -> np.ndarray:
+def schmidt_margin_grid(d: int, k: int, A, B):
     """Elementwise Schmidt-<=k membership margin over float arrays A, B."""
     return _margin_grid("state", d, k, A, B)
 
 
-def _margin_grid(kind: str, d: int, k: int, X, Y) -> np.ndarray:
+def _margin_grid(kind: str, d: int, k: int, X, Y):
+    import numpy as np
+
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     return region_margin(kind, d, k, X, Y, np.minimum.reduce, np.maximum)

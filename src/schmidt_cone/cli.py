@@ -4,7 +4,8 @@ JSON answers go to stdout, diagnostics to stderr.  Exit codes: 0 for a
 well-formed answered query (including domain answers such as not_a_state),
 2 for usage errors, 3 for internal failures or verification inconsistencies.
 Scalars parse as decimals or rationals "n/m"; with --exact they are kept as
-exact rationals and decisions are exact.
+exact rationals and decisions are exact.  Only verify and witness load numpy
+and the oracles; the other commands run on the engine alone.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
+from functools import cache
 
-from . import classify, geometry, oracles
+from . import classify, geometry
 
 __all__ = ["main"]
 
@@ -68,6 +69,8 @@ def _cmd_classify_state(args) -> int:
 
 def _load_style(path: str | None) -> dict:
     if path is None:
+        from importlib import resources
+
         text = resources.files("schmidt_cone").joinpath("svg_style.cfg").read_text()
     else:
         with open(path) as fh:
@@ -91,7 +94,7 @@ def _cmd_region(args) -> int:
         _emit(geometry.region_payload(rb, kind=args.kind, d=args.d, k=args.k))
         return 0
     if args.out is None:
-        sys.stderr.write("--out is required for csv/svg output\n")
+        sys.stderr.write("error: --out is required for csv/svg output\n")
         return 2
     if args.format == "csv":
         content = geometry.region_csv(rb)
@@ -111,6 +114,8 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracles
+
     suites = (
         ["tomiyama", "frames", "twirl", "witness", "duality"]
         if args.suite == "all"
@@ -138,6 +143,9 @@ def _cmd_verify(args) -> int:
                 continue
             rep = oracles.duality_sanity(args.d, seed=args.seed)
         reports[name] = rep.to_dict()
+    if not reports:
+        sys.stderr.write("error: every requested suite was skipped; nothing was verified\n")
+        return 2
     _emit({"d": args.d, "seed": args.seed, "reports": reports})
     if any(r["verdict"] != "consistent" for r in reports.values()):
         return 3
@@ -145,6 +153,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from . import oracles
     from .symmetry import InvariantState
 
     a = _parse_scalar(args.a, exact=False)
@@ -179,6 +188,7 @@ def _cmd_conic(args) -> int:
     return 0
 
 
+@cache  # built once per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schmidt-cone",

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 __all__ = [
     "Conic",
     "HalfPlane",
@@ -73,6 +71,10 @@ def _is_exact(*vals) -> bool:
 
 
 def _check_integer(v, name: str):
+    if type(v) is int:
+        return
+    import numpy as np
+
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {v!r}")
 
@@ -320,6 +322,8 @@ def conic_through_five_points(points, interior=None) -> Conic:
         coeffs = _primitive_integers(_exact_nullvector(rows))
         conic = Conic(*coeffs)
     else:
+        import numpy as np
+
         M = np.array([[x * x, x * y, y * y, x, y, 1.0] for x, y in pts], dtype=float)
         _, s, vh = np.linalg.svd(M)
         if s[4] <= 1e-10 * s[0]:

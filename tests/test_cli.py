@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import schmidt_cone
 from schmidt_cone.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,8 +98,11 @@ def test_region_json_matches_golden(capsys):
 
 
 def test_region_svg_requires_out(capsys):
-    code = main(["region", "map", "--d", "4", "--k", "3", "--format", "svg"])
-    assert code == 2
+    for fmt in ("svg", "csv"):
+        code = main(["region", "map", "--d", "4", "--k", "3", "--format", fmt])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --out is required for csv/svg output\n"
 
 
 @pytest.mark.parametrize("kind", ["map", "state"])
@@ -276,6 +283,23 @@ def test_vacuous_verification_is_a_usage_error(capsys, argv, err):
     assert captured.out == "" and captured.err == err
 
 
+def test_verify_with_every_suite_skipped_is_a_usage_error(capsys):
+    # the duality suite only runs up to d = 4; alone it used to report {} and exit 0
+    assert main(["verify", "--suite", "duality", "--d", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: ")
+
+
+def test_verify_all_still_skips_duality_above_desk_scale(capsys):
+    argv = ["verify", "--suite", "all", "--d", "5", "--grid", "3", "--frames", "2", "--samples", "200", "--workers", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code != 2
+    assert captured.err == "skipping duality suite: d=5 above desk scale\n"
+    assert sorted(json.loads(captured.out)["reports"]) == ["frames", "tomiyama", "twirl", "witness"]
+
+
 @pytest.mark.parametrize("suite", ["frames", "duality"])
 def test_verify_rejects_d_below_2(capsys, suite):
     assert main(["verify", "--suite", suite, "--d", "1"]) == 2
@@ -298,3 +322,76 @@ def test_verification_and_arithmetic_failures_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(classify, "k_positivity_max", overflow)
     assert main(["classify-map", "--d", "4", "--p", "0", "--q", "0"]) == 3
     assert capsys.readouterr().err == "error: result too large\n"
+
+
+# Runs each argv list through cli.main in one fresh interpreter and prints,
+# as JSON, each call's exit code, stdout, stderr and written file, then the
+# modules of the verification layer (and numpy) that the calls loaded.
+_FRESH_PROCESS = """
+import contextlib, io, json, os, sys
+import schmidt_cone, schmidt_cone.cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = schmidt_cone.cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    path = argv[argv.index("--out") + 1] if "--out" in argv else None
+    written = open(path).read() if path and os.path.exists(path) else None
+    if written is not None:
+        os.remove(path)
+    results.append([code, out.getvalue(), err.getvalue(), written])
+heavy = ["numpy", "schmidt_cone.oracles", "schmidt_cone.symmetry", "schmidt_cone.linalg",
+         "concurrent.futures.process"]
+print(json.dumps({"results": results, "loaded": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+def _fresh_process(calls):
+    src = str(Path(schmidt_cone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, json.dumps(calls)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_the_engine_commands_load_neither_numpy_nor_the_oracles(tmp_path):
+    region = ["region", "state", "--d", "5", "--k", "3", "--samples", "8"]
+    calls = [
+        ["classify-map", "--d", "5", "--p", "-0.1", "--q", "0.3"],
+        ["classify-map", "--d", "5", "--p", "-1/11", "--q", "3/10", "--exact"],
+        ["classify-state", "--d", "5", "--a", "0.3", "--b", "-0.1"],
+        ["classify-state", "--d", "5", "--a", "3/10", "--b", "-1/10", "--exact"],
+        region,
+        [*region, "--format", "csv", "--out", str(tmp_path / "r.csv")],
+        [*region, "--format", "svg", "--out", str(tmp_path / "r.svg")],
+        ["conic", "--d", "5", "--k", "3"],
+        ["conic", "--d", "5", "--k", "3", "--dual"],
+    ]
+    run = _fresh_process(calls)
+    assert [r[0] for r in run["results"]] == [0] * len(calls)
+    assert all(r[1] and not r[2] for r in run["results"])
+    assert run["loaded"] == []
+
+
+def test_a_reused_parser_answers_each_call_as_if_run_alone(tmp_path):
+    style = tmp_path / "style.cfg"
+    style.write_text("edge.stroke=#00ff00\n")
+    svg = ["region", "map", "--d", "3", "--k", "2", "--format", "svg", "--out", str(tmp_path / "r.svg")]
+    calls = [
+        ["region", "map", "--d", "4"],  # --k missing: argparse exits 2
+        ["classify-map", "--d", "4", "--p", "-1/11", "--q", "0", "--exact"],
+        ["classify-map", "--d", "4", "--p", "-1/11", "--q", "0"],
+        [*svg, "--style", str(style)],
+        svg,
+    ]
+    together = _fresh_process(calls)["results"]
+    alone = [_fresh_process([argv])["results"][0] for argv in calls]
+    assert together == alone
+    assert together[0][0] == 2 and together[0][2].startswith("usage: ")
+    assert together[1][1] != together[2][1]
+    assert "#00ff00" in together[3][3] and "#00ff00" not in together[4][3]

@@ -21,7 +21,7 @@ from schmidt_cone.geometry import (
     region_margin,
     state_region_vertices,
 )
-from schmidt_cone.oracles import witness_pairing
+from schmidt_cone.oracles import grid_agreement, witness_pairing
 from schmidt_cone.symmetry import CovariantMap, InvariantState
 
 # rationals over the box that holds every region for d >= 2, small
@@ -160,3 +160,15 @@ def test_choi_duality_on_convex_combinations_of_corners(d, data):
     assert schmidt_membership(d, a, b, k).member
     w = witness_pairing(InvariantState(d, a, b), CovariantMap(d, p, q))
     assert type(w) is Fraction and w >= 0
+
+
+@settings(deadline=None, max_examples=12)
+@given(
+    st.sampled_from([3, 4]),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_grid_agreement_report_does_not_depend_on_the_worker_count(d, grid_n, n_random, seed):
+    kwargs = dict(grid_n=grid_n, n_random=n_random, seed=seed)
+    assert grid_agreement(d, workers=1, **kwargs).to_dict() == grid_agreement(d, workers=2, **kwargs).to_dict()
