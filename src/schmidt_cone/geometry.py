@@ -222,9 +222,6 @@ class HalfPlane:
     def slack(self, pt):
         return self.c - self.nx * pt[0] - self.ny * pt[1]
 
-    def contains(self, pt, tol=0) -> bool:
-        return self.slack(pt) >= -tol
-
 
 def witness_halfplane(d: int, p, q) -> HalfPlane:
     """Half-plane constraint on states induced by the extreme witness (p, q)."""
@@ -704,6 +701,8 @@ def conic_arc_points(conic: Conic, start, end, n: int, anchor) -> list[tuple]:
 
 def _region_boundary(kind: str, d: int, k: int, arc_samples: int) -> RegionBoundary:
     row = _REGIONS[kind, region_case(d, k)]
+    if arc_samples < 2:  # refused in every case, with or without an arc to sample
+        raise ValueError(f"arc_samples must be >= 2, got {arc_samples}")
     verts = _vertices(kind, d, k, False)
     if row.conic is None:
         return RegionBoundary(vertices=verts)

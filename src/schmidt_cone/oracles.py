@@ -1,14 +1,17 @@
 """Independent numerical verification of classifier decisions.
 
 Every closed-form decision has an independent check here: frame-compression
-PSD tests (eigenvalue based, frame by frame), the block-condition
-re-derivation, frame-overlap optimization against the known minimum, extreme
-witness pairing and search, Monte-Carlo twirl consistency, and small-dimension
-cone-duality sanity sampling.
+PSD tests, the block-condition re-derivation, frame-overlap optimization
+against the known minimum, extreme witness pairing and search, Monte-Carlo
+twirl consistency, and small-dimension cone-duality sanity sampling.
 
-The protocols are embarrassingly parallel over grid points; each point draws
-its own frames from a counter-derived seed, so results are independent of
-scheduling and worker count.
+The frame-compression matrices A I + p kP + q Fv of a stack of frames have one
+assembly, _compressions, for one point or a row of points; tomiyama_check,
+the grid's explicit-frame rows and its per-point random frames all use it, and
+tomiyama_matrix is its literal reference.  The protocols are embarrassingly
+parallel over grid points; each point draws its own frames from a
+counter-derived seed, so results are independent of scheduling and worker
+count.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classify import is_k_positive, kpos_margin_grid, schmidt_margin_grid
-from .geometry import _is_exact, map_region_boundary, state_region_vertices
+from .classify import _check_finite, is_k_positive, kpos_margin_grid, schmidt_margin_grid
+from .geometry import _is_exact, _traversal_points, map_region_boundary, state_region_vertices
 from .linalg import as_hermitian
 from .symmetry import CovariantMap, InvariantState, twirl_exact, twirl_monte_carlo
 
@@ -153,66 +156,41 @@ def tomiyama_matrix(m: CovariantMap, fr: Frame) -> np.ndarray:
     return out
 
 
-def _frame_operators(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For stacked frames V (n, d, k): the rank-one term k|W><W| and the flip-like term.
+def _compressions(M: np.ndarray, F: np.ndarray, V: np.ndarray, p, q, d: int) -> np.ndarray:
+    """The compressions A I + p kP + q Fv, A = (1-p-q)/d, of the frames V (n, d, k), into M.
 
-    The compression matrix decomposes as A I + p * kP + q * Fv with
-    A = (1-p-q)/d, making the (p, q) sweep cheap.  With v the kd-vector of
-    entries V[a, i] at index (i, a), kP = |v><v| and Fv is its partial
-    transpose over the d index: Fv[(i, a), (j, b)] = kP[(i, b), (j, a)]
-    (Peres 1996).  For k = 1 the returned Fv is a view of kP, so never write
-    into either in place.
-    """
-    n, d, k = V.shape
-    v = V.transpose(0, 2, 1).reshape(n, k * d)
-    kP = v[:, :, None] * v[:, None, :].conj()
-    Fv = kP.reshape(n, k, d, k, d).transpose(0, 1, 4, 3, 2).reshape(n, k * d, k * d)
-    return kP, Fv
-
-
-def _compressions(kP: np.ndarray, Fv: np.ndarray, p, q, d: int) -> np.ndarray:
-    """A I + p kP + q Fv with A = (1-p-q)/d, as one fresh array.
-
-    p and q are scalars or equal-shape arrays of points; their shape goes in
-    front of the operator stack's.  kP and Fv are only read, so Fv may be a
-    view of kP.
+    With v the kd-vector of entries V[a, i] at index (i, a), kP = |v><v| and
+    Fv[(i, a), (j, b)] = kP[(i, b), (j, a)] is its partial transpose over the
+    d index (Peres 1996).  p and q are floats for one point, M and F then of
+    shape (n, kd, kd), or equal-length arrays for a row of points, whose axis
+    goes in front of the frames'.  F is scratch, left holding q Fv.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    shape = p.shape + (1,) * (kP.ndim - 2)
-    Ms = p.reshape(shape + (1, 1)) * kP
-    diag = np.einsum("...ii->...i", Ms)
-    diag += ((1.0 - p - q) / d).reshape(shape + (1,))
-    Ms += q.reshape(shape + (1, 1)) * Fv
-    return Ms
+    n, _, k = V.shape
+    v = V.transpose(0, 2, 1).reshape(n, k * d)
+    np.multiply(v[:, :, None], v[:, None, :].conj(), out=M)  # kP, for every point
+    blocks = M.shape[:-2] + (k, d, k, d)
+    Fv = M.reshape(blocks).swapaxes(-3, -1)  # a view of kP
+    np.multiply(q.reshape(q.shape + (1,) * 5), Fv, out=F.reshape(blocks))
+    M *= p.reshape(p.shape + (1, 1, 1))
+    diag = np.einsum("...ii->...i", M)
+    diag += ((1.0 - p - q) / d).reshape(p.shape + (1, 1))
+    M += F
+    return M
+
+
+def _check_tolerances(*tols) -> None:
+    """Refuse a NaN, infinite, negative or bool tolerance, as the classifier does."""
+    _check_finite(*tols)
+    if min(tols) < 0:
+        raise ValueError(f"negative tolerance {min(tols)!r}")
 
 
 def _relative_min_eig(Ms: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(Ms)
     scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
     return w[..., 0] / scale
-
-
-def _compressions_into(
-    M: np.ndarray, F: np.ndarray, V: np.ndarray, p: float, q: float, d: int
-) -> np.ndarray:
-    """_compressions(*_frame_operators(V), p, q, d) at one point (p, q), written into M.
-
-    M and F are (n, kd, kd) complex workspace that a caller reuses from point
-    to point, so no fresh stack is allocated; F is left holding q Fv.  The
-    elementwise operations and their order are those of _compressions, so
-    every bit matches.
-    """
-    n, _, k = V.shape
-    v = V.transpose(0, 2, 1).reshape(n, k * d)
-    np.multiply(v[:, :, None], v[:, None, :].conj(), out=M)  # kP
-    # q Fv, with Fv the partial transpose of kP over the d index
-    np.multiply(q, M.reshape(n, k, d, k, d).transpose(0, 1, 4, 3, 2), out=F.reshape(n, k, d, k, d))
-    np.multiply(p, M, out=M)
-    diag = np.einsum("...ii->...i", M)
-    diag += (1.0 - p - q) / d
-    M += F
-    return M
 
 
 def _all_psd_fast(
@@ -224,10 +202,10 @@ def _all_psd_fast(
     norm, a cheap spectral-norm upper bound, so it can only be more permissive
     than the eigenvalue test by at most that norm gap; callers keep a boundary
     band far wider.  The matrices are built in the workspace M (F is scratch,
-    see _compressions_into) and shifted in place, so when Cholesky fails they
-    are built again for the eigenvalue test.
+    see _compressions) and shifted in place, so when Cholesky fails they are
+    built again for the eigenvalue test.
     """
-    _compressions_into(M, F, V, p, q, d)
+    _compressions(M, F, V, p, q, d)
     sq = F.view(float).reshape(2, *M.shape)  # F's memory as two float stacks
     np.square(M.real, out=sq[0])
     np.square(M.imag, out=sq[1])
@@ -239,7 +217,7 @@ def _all_psd_fast(
         np.linalg.cholesky(M)
         return True
     except np.linalg.LinAlgError:
-        return bool(np.all(_relative_min_eig(_compressions_into(M, F, V, p, q, d)) >= -tol))
+        return bool(np.all(_relative_min_eig(_compressions(M, F, V, p, q, d)) >= -tol))
 
 
 def tomiyama_check(
@@ -251,41 +229,33 @@ def tomiyama_check(
     seed: int = 0,
     tol: float = 1e-9,
 ) -> "OracleReport":
-    """PSD check of the frame compression over explicit plus random frames.
+    """PSD check of the frame compression at (p, q): explicit frames, then random ones.
 
-    Returns the first violating frame as witness; ``worst_margin`` is the
-    smallest relative minimal eigenvalue seen.
+    The n_random Haar frames are seeded by (seed, d, k); all frames go through
+    one _compressions stack and one eigvalsh call.  A violated verdict names
+    the first violating frame: an explicit one by name, counting the frames up
+    to it as ``samples``, or a random one by index, counting all.
+    ``worst_margin`` is the smallest relative minimal eigenvalue over the
+    counted frames.  A NaN, infinite or negative tol is refused.
     """
-    m = CovariantMap(d, p, q)
-    worst = np.inf
-    tried = 0
-    for name, fr in explicit_frames(d, k):
-        tried += 1
-        margin = _relative_min_eig(tomiyama_matrix(m, fr)[None, :, :])[0]
-        worst = min(worst, margin)
-        if margin < -tol:
-            return OracleReport(
-                "violated",
-                witness={"frame": name, "min_eig": float(margin)},
-                samples=tried,
-                worst_margin=float(worst),
-            )
+    _check_tolerances(tol)
+    m = CovariantMap(d, float(p), float(q))  # refuses d < 2
+    expl = explicit_frames(d, k)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d, k)))
-    if n_random > 0:
-        V = random_frames(d, k, n_random, rng)
-        margins = _relative_min_eig(_compressions(*_frame_operators(V), p, q, d))
-        tried += n_random
-        worst = min(worst, float(np.min(margins)))
-        bad = np.nonzero(margins < -tol)[0]
-        if bad.size:
-            i = int(bad[0])
-            return OracleReport(
-                "violated",
-                witness={"frame": "random", "index": i, "min_eig": float(margins[i])},
-                samples=tried,
-                worst_margin=float(worst),
-            )
-    return OracleReport("consistent", witness=None, samples=tried, worst_margin=float(worst))
+    V = np.concatenate([[fr.vectors for _, fr in expl], random_frames(d, k, max(n_random, 0), rng)])
+    M = np.empty((len(V), k * d, k * d), dtype=complex)
+    margins = _relative_min_eig(_compressions(M, np.empty_like(M), V, m.p, m.q, d))
+    bad = np.flatnonzero(margins < -tol)
+    if not bad.size:
+        return OracleReport("consistent", samples=len(V), worst_margin=float(np.min(margins)))
+    i = int(bad[0])
+    if i < len(expl):
+        witness, tried = {"frame": expl[i][0]}, i + 1
+    else:
+        witness, tried = {"frame": "random", "index": i - len(expl)}, len(V)
+    witness["min_eig"] = float(margins[i])
+    worst = float(np.min(margins[:tried]))
+    return OracleReport("violated", witness=witness, samples=tried, worst_margin=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +420,7 @@ def witness_pairing(s: InvariantState, m: CovariantMap):
 
 def witness_points(d: int, k: int, arc_samples: int = 256) -> list[tuple[float, float]]:
     """Extreme points of the k-positivity region: vertices plus arc samples (>= 2)."""
-    if arc_samples < 2:
-        raise ValueError(f"arc_samples must be >= 2, got {arc_samples}")
-    rb = map_region_boundary(d, k, arc_samples=arc_samples)
-    pts = list(rb.vertices)
-    for arc in rb.arcs:
-        pts.extend(arc.samples[1:-1])
-    return pts
+    return _traversal_points(map_region_boundary(d, k, arc_samples))
 
 
 def witness_violation_search(
@@ -626,18 +590,12 @@ def duality_sanity(d: int, samples: int = 1000, seed: int = 0) -> OracleReport:
 # --- classifier <-> frame-compression grid agreement -----------------------
 
 
-def _grid_axes(grid_n: int, box: tuple[float, float]) -> np.ndarray:
-    return np.linspace(box[0], box[1], grid_n)
-
-
 def _grid_task(args) -> dict:
     (d, k, grid_n, box, rows, n_random, seed, band, tol) = args
-    axis = _grid_axes(grid_n, box)
+    axis = np.linspace(box[0], box[1], grid_n)
     P, Q = np.meshgrid(axis, axis, indexing="ij")
     margins = kpos_margin_grid(d, k, P, Q)
-    expl_kP, expl_Fv = _frame_operators(
-        np.stack([fr.vectors for _, fr in explicit_frames(d, k)])
-    )
+    expl = np.stack([fr.vectors for _, fr in explicit_frames(d, k)])
     # per-task workspace for the random-frame compressions, reused at every point
     M = np.empty((n_random, k * d, k * d), dtype=complex)
     F = np.empty_like(M)
@@ -648,10 +606,12 @@ def _grid_task(args) -> dict:
     for ix in rows:
         cols = np.nonzero(np.abs(margins[ix]) > band)[0]
         checked += cols.size
-        # every explicit frame at every non-band point of the row, one eigvalsh call
-        expl_margins = _relative_min_eig(
-            _compressions(expl_kP, expl_Fv, P[ix, cols], Q[ix, cols], d)
-        )
+        # every explicit frame at every non-band point of the row, one eigvalsh
+        # call; the row's stacks are fresh arguments, so they stay temporaries
+        shape = (cols.size, len(expl), k * d, k * d)
+        expl_margins = _relative_min_eig(_compressions(
+            np.empty(shape, complex), np.empty(shape, complex), expl, P[ix, cols], Q[ix, cols], d
+        ))
         row_violated = np.any(expl_margins < -tol, axis=-1)
         # exterior points certified by an explicit frame are done
         todo = ~(row_violated & (margins[ix, cols] < 0))
@@ -672,7 +632,7 @@ def _grid_task(args) -> dict:
                         {"p": p, "q": q, "k": k, "classifier": "inside", "oracle": "violated"}
                     )
             else:
-                rnd_margins = _relative_min_eig(_compressions_into(M, F, V, p, q, d))
+                rnd_margins = _relative_min_eig(_compressions(M, F, V, p, q, d))
                 if np.any(rnd_margins < -tol):
                     random_only += 1  # a finding: violation missed by explicit frames
                 else:
@@ -696,7 +656,6 @@ def grid_agreement(
     box: tuple[float, float] = (-0.6, 1.1),
     tol: float = 1e-9,
     workers: int | None = None,
-    ks: tuple[int, ...] | None = None,
 ) -> OracleReport:
     """Classifier vs frame-compression agreement on a (p, q) grid, all k.
 
@@ -705,7 +664,9 @@ def grid_agreement(
     fresh Haar frames (seeded per point) are tested.  A disagreement is an
     interior point with any violating frame, or an exterior point with none.
     Exterior violations found only by random frames are counted as findings,
-    not disagreements.  grid_n, n_random and workers must be at least 1.
+    not disagreements.  The explicit frames are assembled once per row, the
+    random ones into a per-task workspace, both by _compressions.  grid_n,
+    n_random and workers must be at least 1; band and tol finite and >= 0.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
@@ -715,10 +676,10 @@ def grid_agreement(
         workers = default_workers()
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    ks = tuple(range(1, d + 1)) if ks is None else ks
+    _check_tolerances(band, tol)
     chunk = 10
     tasks = []
-    for k in ks:
+    for k in range(1, d + 1):
         for start in range(0, grid_n, chunk):
             rows = range(start, min(start + chunk, grid_n))
             tasks.append((d, k, grid_n, box, rows, n_random, seed, band, tol))

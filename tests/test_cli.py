@@ -229,7 +229,18 @@ def test_internal_error_exit_code(capsys):
     assert main(["region", "map", "--d", "4", "--k", "5"]) == 2
     assert capsys.readouterr().err == "error: k=5 out of range 1..4\n"
     assert main(["region", "map", "--d", "4", "--k", "3", "--samples", "1"]) == 2
-    assert capsys.readouterr().err == "error: need at least the two endpoints\n"
+    assert capsys.readouterr().err == "error: arc_samples must be >= 2, got 1\n"
+
+
+@pytest.mark.parametrize("kind", ["map", "state"])
+@pytest.mark.parametrize("samples", ["-5", "0", "1"])
+def test_region_refuses_fewer_than_two_samples_at_every_k(capsys, kind, samples):
+    # refused in every case, not only where there is an arc to sample
+    for k in range(1, 5):
+        assert main(["region", kind, "--d", "4", "--k", str(k), "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: arc_samples must be >= 2, got {samples}\n"
 
 
 def test_scalar_outside_the_float_range_is_a_usage_error(capsys):

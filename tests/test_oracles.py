@@ -6,6 +6,7 @@ import pytest
 
 from schmidt_cone import oracles
 from schmidt_cone.classify import is_k_positive
+from schmidt_cone.geometry import map_region_boundary
 from schmidt_cone.linalg import is_psd, max_entangled, pairing
 from schmidt_cone.oracles import (
     Frame,
@@ -31,10 +32,10 @@ from schmidt_cone.oracles import (
     witness_pairing,
     witness_points,
     witness_violation_search,
+    _all_psd_fast,
     _compressions,
-    _compressions_into,
-    _frame_operators,
     _overlap_gradient,
+    _relative_min_eig,
 )
 from schmidt_cone.symmetry import CovariantMap, InvariantState
 from schmidt_cone.classify import schmidt_number
@@ -77,29 +78,32 @@ def test_tomiyama_matrix_transpose_k2_not_psd():
 
 
 def test_tomiyama_matrix_decomposition_identity():
-    # literal assembly equals A I + p k|W><W| + q F(v) for any frame, at every
-    # k (k = 1 makes Fv a view of kP, which the assembly must not write into),
-    # one point at a time and for a row of points in front of the frames; the
-    # assembly into reused workspace gives the same bytes
+    # the one assembly equals the literal A I + p k|W><W| + q F(v) for any
+    # frame, at every k; a row of points in front of the frames gives the same
+    # bytes as one point at a time into reused workspace, and the inputs are
+    # left as they were
     rng = np.random.default_rng(2)
     P, Q = np.array([0.4, -0.1, 0.3]), np.array([-0.2, 0.5, 0.3])
+    P0, Q0 = P.copy(), Q.copy()
     for d in (3, 4, 5):
         for k in range(1, d + 1):
             V = random_frames(d, k, 3, rng)
-            kP, Fv = _frame_operators(V)
-            kP0, Fv0 = kP.copy(), Fv.copy()
-            row = _compressions(kP, Fv, P, Q, d)
-            assert row.shape == (len(P), len(V), k * d, k * d)
-            M = np.full_like(kP, np.nan)
-            F = np.full_like(kP, np.nan)
+            V0 = V.copy()
+            shape = (len(P), len(V), k * d, k * d)
+            M_row = np.empty(shape, complex)
+            row = _compressions(M_row, np.empty(shape, complex), V, P, Q, d)
+            assert row is M_row and row.shape == (len(P), len(V), k * d, k * d)
+            M = np.full(shape[1:], np.nan, dtype=complex)
+            F = np.full_like(M, np.nan)
             for j, (p, q) in enumerate(zip(P, Q)):
-                fast = _compressions(kP, Fv, p, q, d)
-                assert np.array_equal(row[j], fast)
-                assert _compressions_into(M, F, V, float(p), float(q), d).tobytes() == fast.tobytes()
+                point = _compressions(M, F, V, float(p), float(q), d)
+                assert point is M
+                assert point.tobytes() == row[j].tobytes()
                 for i in range(len(V)):
                     lit = tomiyama_matrix(CovariantMap(d, p, q), Frame(d, k, V[i]))
-                    assert np.max(np.abs(lit - fast[i])) < 1e-12
-            assert np.array_equal(kP, kP0) and np.array_equal(Fv, Fv0)
+                    assert np.max(np.abs(lit - point[i])) < 1e-12
+            assert np.array_equal(V, V0)
+            assert np.array_equal(P, P0) and np.array_equal(Q, Q0)
 
 
 def test_random_frames_are_leading_columns_of_haar_unitaries():
@@ -150,6 +154,89 @@ def test_tomiyama_check_exterior_point_violated_by_explicit_frame():
 def test_tomiyama_check_transpose_counterexample():
     for d in (3, 4):
         assert tomiyama_check(d, 0, 1, 2, n_random=20, seed=5).verdict == "violated"
+
+
+def _literal_tomiyama_check(d, p, q, k, n_random, seed, tol=1e-9):
+    """tomiyama_check's protocol by the literal route, frame by frame.
+
+    The explicit frames, then the frames seeded by (seed, d, k), each through
+    eigvalsh and is_psd of tomiyama_matrix.  Returns (verdict, witness frame
+    or random index, samples, worst margin over the counted frames, the
+    witness's min_eig).
+    """
+    m = CovariantMap(d, p, q)
+    frames = oracles.explicit_frames(d, k)
+    n_expl = len(frames)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d, k)))
+    frames += [("random", Frame(d, k, v)) for v in random_frames(d, k, n_random, rng)]
+    margins = []
+    for _, fr in frames:
+        lit = tomiyama_matrix(m, fr)
+        w = np.linalg.eigvalsh(lit)
+        margins.append(w[0] / max(1.0, np.max(np.abs(w))))
+        assert is_psd(lit, tol) == (margins[-1] >= -tol)
+    bad = [i for i, margin in enumerate(margins) if margin < -tol]
+    if not bad:
+        return "consistent", None, len(frames), min(margins), None
+    i = bad[0]
+    if i < n_expl:
+        return "violated", frames[i][0], i + 1, min(margins[: i + 1]), margins[i]
+    return "violated", i - n_expl, len(frames), min(margins), margins[i]
+
+
+def _probe_points(d, k):
+    """Interior, exterior and near-boundary points of the (d, k) map region.
+
+    Rays from the centroid of the corners through two corners and through
+    the middle of the conic arc, if any, scaled by 0 (the centroid), just
+    inside and just outside the boundary, and well outside.
+    """
+    rb = map_region_boundary(d, k, arc_samples=5)
+    cx = sum(x for x, _ in rb.vertices) / len(rb.vertices)
+    cy = sum(y for _, y in rb.vertices) / len(rb.vertices)
+    ends = list(rb.vertices[:2]) + [arc.samples[2] for arc in rb.arcs]
+    return [(cx, cy)] + [
+        (cx + t * (x - cx), cy + t * (y - cy)) for x, y in ends for t in (0.9999, 1.0001, 1.3)
+    ]
+
+
+def _assert_same_as_literal(d, p, q, k, n_random, seed):
+    rep = tomiyama_check(d, p, q, k, n_random=n_random, seed=seed)
+    verdict, frame, samples, worst, min_eig = _literal_tomiyama_check(d, p, q, k, n_random, seed)
+    assert (rep.verdict, rep.samples) == (verdict, samples)
+    assert abs(rep.worst_margin - worst) < 1e-12
+    if verdict == "consistent":
+        assert rep.witness is None
+    elif isinstance(frame, str):
+        assert sorted(rep.witness) == ["frame", "min_eig"] and rep.witness["frame"] == frame
+    else:
+        assert rep.witness["frame"] == "random" and rep.witness["index"] == frame
+    if rep.witness:
+        assert abs(rep.witness["min_eig"] - min_eig) < 1e-12
+    return rep
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_tomiyama_check_matches_the_literal_route(d):
+    # verdict, witness and samples exactly, margins to 1e-12, at every k
+    seen = set()
+    for k in range(1, d + 1):
+        for i, (p, q) in enumerate(_probe_points(d, k)):
+            rep = _assert_same_as_literal(d, p, q, k, n_random=12, seed=10 * d + i)
+            seen.add(rep.verdict)
+    assert seen == {"consistent", "violated"}
+
+
+def test_tomiyama_check_matches_the_literal_route_on_random_witnesses(monkeypatch):
+    # With the standard frame alone, points just outside a conic arc are
+    # violated by random frames only, so the witness is a random index.
+    monkeypatch.setattr(oracles, "explicit_frames", lambda d, k: [("standard", standard_frame(d, k))])
+    found = 0
+    for d, k in [(3, 2), (4, 3), (5, 4)]:
+        for p, q in _probe_points(d, k)[-3:-1]:  # the arc's middle, inside then outside
+            rep = _assert_same_as_literal(d, p, q, k, n_random=40, seed=d)
+            found += rep.witness is not None and rep.witness["frame"] == "random"
+    assert found
 
 
 def test_frame_overlap_values():
@@ -434,9 +521,10 @@ def test_grid_agreement_small_scale():
     [
         pytest.param(3, 0, 1e-9, id="0"),
         pytest.param(3, 7, 1e-9, id="7"),
-        # a tolerance below zero demands a margin, so interior points at several
-        # k disagree and the witnesses show the order the results were merged in
-        pytest.param(4, 0, -1e-2, id="d4-all-k"),
+        # a loose tolerance lets some exterior points pass every frame, so they
+        # disagree at several k and the witnesses show the order the results
+        # were merged in
+        pytest.param(4, 0, 3e-3, id="d4-all-k"),
     ],
 )
 def test_grid_agreement_same_report_at_one_and_two_workers(d, seed, tol):
@@ -448,17 +536,16 @@ def test_grid_agreement_same_report_at_one_and_two_workers(d, seed, tol):
     # the largest k runs first, but the report lists tasks in (k, row) order
     witness = serial["witness"] or []
     assert witness == sorted(witness, key=lambda w: (w["k"], w["p"], w["q"]))
-    if tol < 0:
+    if d == 4:
         assert len({w["k"] for w in witness}) > 1
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("tol", [1e-9, -1e-2])
+@pytest.mark.parametrize("tol", [1e-9])
 def test_grid_agreement_cholesky_fallback_gives_the_same_report(monkeypatch, seed, tol):
     # With every Cholesky failing, each interior point is decided by the
-    # eigenvalue test, which must see the compressions without the shift the
-    # Cholesky test put on their diagonal.  At tol < 0 some interior points
-    # fail, and an eigenvalue test of the shifted matrices fails more of them.
+    # eigenvalue test; test_all_psd_fast_fallback_sees_the_unshifted_compressions
+    # shows that test sees the compressions without the Cholesky shift.
     kwargs = dict(grid_n=20, n_random=20, seed=seed, tol=tol, workers=1)
     expected = grid_agreement(3, **kwargs).to_dict()
     calls = []
@@ -470,6 +557,46 @@ def test_grid_agreement_cholesky_fallback_gives_the_same_report(monkeypatch, see
     monkeypatch.setattr(oracles.np.linalg, "cholesky", failing_cholesky)
     assert grid_agreement(3, **kwargs).to_dict() == expected
     assert calls
+
+
+def test_all_psd_fast_fallback_sees_the_unshifted_compressions(monkeypatch):
+    # The Cholesky test shifts the workspace's diagonal by tol times the
+    # Frobenius norm.  When it fails, the eigenvalue test must see the
+    # compressions without that shift: near the boundary, outside it, the
+    # shifted matrices would pass where the compressions themselves fail.
+    def failing_cholesky(a):
+        raise np.linalg.LinAlgError("forced failure")
+
+    monkeypatch.setattr(oracles.np.linalg, "cholesky", failing_cholesky)
+    tol, shifted_differs = 1e-2, 0
+    for d, k in [(3, 2), (4, 2), (4, 3)]:
+        V = random_frames(d, k, 20, np.random.default_rng(d + k))
+        M = np.empty((20, k * d, k * d), dtype=complex)
+        F = np.empty_like(M)
+        for p, q in _probe_points(d, k):
+            fresh = _compressions(np.empty_like(M), np.empty_like(M), V, p, q, d)
+            expected = bool(np.all(_relative_min_eig(fresh) >= -tol))
+            norm = np.sqrt(np.sum(np.abs(fresh) ** 2, axis=(-2, -1)))
+            fresh[:, np.arange(k * d), np.arange(k * d)] += (tol * np.maximum(1.0, norm))[:, None]
+            shifted_differs += bool(np.all(_relative_min_eig(fresh) >= -tol)) != expected
+            assert _all_psd_fast(M, F, V, p, q, d, tol) == expected
+    assert shifted_differs
+
+
+@pytest.mark.parametrize("name", ["tol", "band"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12, True])
+def test_grid_agreement_refuses_a_bad_tolerance(name, value):
+    # a NaN band used to drop every point and report (consistent, 0 samples); a
+    # NaN or negative tol used to turn points into spurious disagreements
+    with pytest.raises(ValueError):
+        grid_agreement(3, grid_n=6, n_random=4, workers=1, **{name: value})
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12, True])
+def test_tomiyama_check_refuses_a_bad_tolerance(tol):
+    # with tol = nan the exterior point (0, 0.9) at d = 3, k = 2 used to read consistent
+    with pytest.raises(ValueError):
+        tomiyama_check(3, 0.0, 0.9, 2, tol=tol)
 
 
 def test_witness_grid_check_small():
