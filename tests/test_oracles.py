@@ -34,6 +34,7 @@ from schmidt_cone.oracles import (
     witness_violation_search,
     _all_psd_fast,
     _compressions,
+    _grid_task,
     _overlap_gradient,
     _relative_min_eig,
 )
@@ -541,13 +542,24 @@ def test_grid_agreement_same_report_at_one_and_two_workers(d, seed, tol):
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("tol", [1e-9])
+@pytest.mark.parametrize("tol", [-1e-2, 1e-9])
 def test_grid_agreement_cholesky_fallback_gives_the_same_report(monkeypatch, seed, tol):
     # With every Cholesky failing, each interior point is decided by the
     # eigenvalue test; test_all_psd_fast_fallback_sees_the_unshifted_compressions
     # shows that test sees the compressions without the Cholesky shift.
     kwargs = dict(grid_n=20, n_random=20, seed=seed, tol=tol, workers=1)
-    expected = grid_agreement(3, **kwargs).to_dict()
+
+    def report():
+        if tol >= 0:
+            return grid_agreement(3, **kwargs).to_dict()
+        # grid_agreement refuses a negative tol, but its tasks read one as a
+        # demanded margin: interior points near the boundary then fail the
+        # Cholesky test, so a fallback that tested the shifted matrices
+        # would change their results
+        return [_grid_task((3, k, 20, (-0.6, 1.1), range(20), 20, seed, 1e-6, tol))
+                for k in range(1, 4)]
+
+    expected = report()
     calls = []
 
     def failing_cholesky(a):
@@ -555,7 +567,7 @@ def test_grid_agreement_cholesky_fallback_gives_the_same_report(monkeypatch, see
         raise np.linalg.LinAlgError("forced failure")
 
     monkeypatch.setattr(oracles.np.linalg, "cholesky", failing_cholesky)
-    assert grid_agreement(3, **kwargs).to_dict() == expected
+    assert report() == expected
     assert calls
 
 
