@@ -5,10 +5,11 @@ number of the state family from the closed-form inequality systems, in two
 evaluation modes:
 
 * exact: int/Fraction inputs make every decision exact (boundary = exact
-  equality, tolerance ignored).  The point is put over one common
-  denominator D, every line slack (times D) and the conic slack (times D^2)
-  is evaluated as a plain integer, and only the chosen margin becomes a
-  Fraction, one per single-k verdict (an int when both inputs are ints);
+  equality, tolerance ignored).  The region's homogeneous table row, at the
+  point's integer numerators over their common denominator D, gives every
+  line slack (times D) and the conic slack (times D^2) as a plain integer;
+  only the chosen margin becomes a Fraction, one per single-k verdict (an
+  int when both inputs are ints);
 * float: each constraint slack is compared against a boundary tolerance
   (default 1e-9), which must be finite and non-negative.
 

@@ -2,7 +2,8 @@
 
 JSON answers go to stdout, diagnostics to stderr.  Exit codes: 0 for a
 well-formed answered query (including domain answers such as not_a_state),
-2 for usage errors, 3 for internal failures or verification inconsistencies.
+2 for usage errors (an unreadable --style or unwritable --out included),
+3 for internal failures or verification inconsistencies.
 Scalars parse as decimals or rationals "n/m"; with --exact they are kept as
 exact rationals and decisions are exact.  Only verify and witness load numpy
 and the oracles; the other commands run on the engine alone.
@@ -106,7 +107,7 @@ def _cmd_region(args) -> int:
         {
             "written": args.out,
             "format": args.format,
-            "segments": max(len(rb.vertices) - 1, 0) + (1 if rb.closed and not rb.arcs else 0),
+            "segments": max(len(rb.vertices) - 1, 0) + (0 if rb.arcs else 1),
             "arcs": len(rb.arcs),
         }
     )
@@ -170,6 +171,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_conic(args) -> int:
+    geometry.region_case(args.d, args.k)  # refuses k outside 1..d, as region does
     conic = (geometry.dual_conic if args.dual else geometry.kpos_conic)(args.d, args.k, exact=True)
     payload = {
         "d": args.d,
@@ -273,7 +275,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_merge_negative_scalars(list(argv)))
     try:
         return args.func(args)
-    except ValueError as e:  # an argument outside the domain, such as d < 2
+    except (ValueError, OSError) as e:  # an argument outside the domain, or a bad path
         sys.stderr.write(f"error: {e}\n")
         return 2
     except (AssertionError, ArithmeticError) as e:

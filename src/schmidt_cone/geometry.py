@@ -2,11 +2,11 @@
 
 The region facts live in one table (section "The region table"): for each
 (kind, case) the boundary lines in traversal order, each written once as its
-affine slack, plus the case-3 conic and the case-3 state chord.  Everything
-else is derived from it: the membership margins of ``classify`` (scalar and
-grid alike, through ``region_margin``), the corners (exact intersections of
-consecutive lines; only the ends of the map's case-3 arc are data), the
-boundaries and the five tangents of the dual ellipse.
+slack homogeneous in (x, y, w), plus the case-3 conic and state chord.
+Everything else is derived from it: the membership margins of ``classify``
+(exact, float and grid alike, through ``region_margin``), the corners (exact
+intersections of consecutive lines; only the ends of the map's case-3 arc are
+data), the boundaries and the five tangents of the dual ellipse.
 
 Also implements the boundary conic of the k-positivity region, conic
 classification, the pairing-induced linear isomorphism between witness and
@@ -14,10 +14,10 @@ state coordinates, pole-polar duality, five-point conic fitting (exact
 rational or floating point), and arc sampling for plots.
 
 Exact mode: corners, the pairing map and the five-point fit are evaluated in
-rational arithmetic whenever the inputs are rationals, and exact margins on
-the integer numerators of the point over one common denominator, so boundary
-classification never depends on rounding.  Arc sampling is always floating
-point.
+rational arithmetic whenever the inputs are rationals, and exact margins by
+the same table rows on the integer numerators of the point and their common
+denominator (as w), so boundary classification never depends on rounding.
+Arc sampling is always floating point.
 """
 
 from __future__ import annotations
@@ -101,14 +101,15 @@ class Conic:
     def coefficients(self) -> tuple:
         return (self.A, self.B, self.C, self.D, self.E, self.F)
 
-    def __call__(self, x, y):
+    def __call__(self, x, y, w=1):
+        """The form at (x, y), or homogenized: w^2 times its value at (x/w, y/w)."""
         return (
             self.A * x * x
             + self.B * x * y
             + self.C * y * y
-            + self.D * x
-            + self.E * y
-            + self.F
+            + self.D * w * x
+            + self.E * w * y
+            + self.F * w * w
         )
 
     def gradient(self, x, y) -> tuple:
@@ -124,12 +125,13 @@ class Conic:
             raise ValueError("zero conic")
         return Conic(*(v / scale for v in coeffs))
 
-    def classify(self, tol: float = 1e-12) -> str:
+    def classify(self) -> str:
         """One of 'ellipse' | 'parabola' | 'hyperbola' | 'degenerate'.
 
         Classified by the sign of B^2 - 4AC, with degeneracy decided by the
         determinant of the full 3x3 matrix of the quadratic form.
         """
+        tol = 1e-12  # for float coefficients, relative to the largest one
         A, B, C, D, E, F = self.coefficients()
         disc = self.discriminant()
         # determinant of [[2A, B, D], [B, 2C, E], [D, E, 2F]]
@@ -450,34 +452,35 @@ def region_case(d: int, k: int) -> int:
     return 4
 
 
-# Every boundary line of every region, once, as its affine slack s(d, k, x, y)
-# >= 0 in cleared-denominator form; (x, y) is (p, q) for maps and (a, b) for
-# states.  Only + - * appear, so a slack is exact on int/Fraction, rounds the
-# same on floats and works elementwise on arrays.
-_L1 = "1 - x + (d - 1) * y"  # x - (d-1)y <= 1
-_L2 = "1 - y + (d - 1) * x"  # y - (d-1)x <= 1
-_L3 = "1 - x - y"  # x + y <= 1
-_L4 = "(d - 1) * (x + y) + 1"  # (d-1)(x + y) >= -1
-_L5 = "1 - x - (d + 1) * y"  # x + (d+1)y <= 1
-_L6 = "(k * d - 1) * x + (d - 1) * y + 1"  # (kd-1)x + (d-1)y >= -1
-_L7 = "1 - y + (k * d - 1) * x"  # y - (kd-1)x <= 1
-_L8 = "(d - 1) * ((d + 1) * x + y) + 1"  # (d-1)((d+1)x + y) >= -1
-_L9 = "1 - (d + 1) * x - y"  # (d+1)x + y <= 1
-_L10 = "(d - 1) * (x + (d + 1) * y) + 1"  # (d-1)(x + (d+1)y) >= -1
-_L11 = "(k * d - 1) - (d - 1) * ((d + 1) * x + y)"  # (d-1)((d+1)x + y) <= kd-1
+# Every boundary line of every region, once, as its slack s(d, k, x, y, w) >= 0
+# in cleared-denominator form, homogeneous of degree one in (x, y, w): w = 1 at
+# a point (x, y), which is (p, q) for maps and (a, b) for states, and
+# s(X, Y, D) = D * s(X/D, Y/D).  Only + - * appear, so a slack is exact on
+# int/Fraction, rounds the same on floats and works elementwise on arrays.
+_L1 = "w - x + (d - 1) * y"  # x - (d-1)y <= 1
+_L2 = "w - y + (d - 1) * x"  # y - (d-1)x <= 1
+_L3 = "w - x - y"  # x + y <= 1
+_L4 = "(d - 1) * (x + y) + w"  # (d-1)(x + y) >= -1
+_L5 = "w - x - (d + 1) * y"  # x + (d+1)y <= 1
+_L6 = "(k * d - 1) * x + (d - 1) * y + w"  # (kd-1)x + (d-1)y >= -1
+_L7 = "w - y + (k * d - 1) * x"  # y - (kd-1)x <= 1
+_L8 = "(d - 1) * ((d + 1) * x + y) + w"  # (d-1)((d+1)x + y) >= -1
+_L9 = "w - (d + 1) * x - y"  # (d+1)x + y <= 1
+_L10 = "(d - 1) * (x + (d + 1) * y) + w"  # (d-1)(x + (d+1)y) >= -1
+_L11 = "(k * d - 1) * w - (d - 1) * ((d + 1) * x + y)"  # (d-1)((d+1)x + y) <= kd-1
 # (d-1)((d-k+1)x - (kd+k-1)y) <= kd+k-1
-_L12 = "(d - 1) * ((k * d + k - 1) * y - (d - k + 1) * x) + (k * d + k - 1)"
+_L12 = "(d - 1) * ((k * d + k - 1) * y - (d - k + 1) * x) + (k * d + k - 1) * w"
 # (d-1)((3d-k+3)x - (kd+k-3)y) <= d^2+kd+k-3, the chord between the state arc's ends
-_CHORD = "(d * d + k * d + k - 3) - (d - 1) * ((3 * d - k + 3) * x - (k * d + k - 3) * y)"
+_CHORD = "(d * d + k * d + k - 3) * w - (d - 1) * ((3 * d - k + 3) * x - (k * d + k - 3) * y)"
 
 
 def _slacks(*lines):
-    """One function (d, k, x, y) -> [the slack of each line, in order].
+    """One function (d, k, x, y, w=1) -> [the slack of each line, in order].
 
     Compiled from the table so that evaluating a region costs one call, not
     one per line.
     """
-    return eval(f"lambda d, k, x, y: [{', '.join(lines)}]")
+    return eval(f"lambda d, k, x, y, w=1: [{', '.join(lines)}]")
 
 
 def _halfplanes(slacks, d: int, k: int) -> list[HalfPlane]:
@@ -494,7 +497,7 @@ _DUAL_TANGENTS = _slacks(_L8, _L10, _L5, _L11, _L1)
 class _Region:
     """One (kind, case) row: corner i is where lines i-1 and i meet (cyclically).
 
-    A ``conic`` (``(d, k, exact) -> Conic``) adds the slack -conic(x, y).  It
+    A ``conic`` (``(d, k, exact) -> Conic``) adds the slack -conic(x, y, w).  It
     cuts the map region, whose lines then run as an open chain from the arc's
     ``end`` to its ``start`` (both data).  The state region is the polygon
     united with the filled ellipse (``union``); its arc replaces the last
@@ -520,7 +523,7 @@ _REGIONS = {
         _L5,
         _L1,
         _L6,
-        conic=lambda d, k, exact: kpos_conic(d, k, exact),
+        conic=kpos_conic,
         ends=lambda d, k: (
             (Fraction(-1, k * d - 1), Fraction(0)),
             (Fraction(-2, d * d + d - 2), Fraction(d, d * d + d - 2)),
@@ -536,7 +539,7 @@ _REGIONS = {
         _L5,
         _L11,
         _CHORD,
-        conic=lambda d, k, exact: dual_conic(d, k, exact),
+        conic=_dual_conic,
         union=True,
         anchor=lambda d, k: dual_tangency_points(d, k, exact=False)[0],
     ),
@@ -553,14 +556,15 @@ def region_margin(kind: str, d: int, k: int, x, y, lowest=min, highest=max, exac
 
     Without ``exact`` the case-3 conic is the float one, for floats and
     arrays.  ``exact`` requires int/Fraction inputs and gives the margin in
-    exact arithmetic.  The point is put over one common denominator D, each line
-    slack times D and the conic slack times D^2 are plain integers from the
-    row's integer coefficients (``_integer_row``), and the chosen one becomes
-    a single Fraction: the same value as the table evaluated on Fractions,
-    and an int when x and y both are.
+    exact arithmetic.  The point is put over one common denominator D, and
+    the same homogeneous row is evaluated on the integers (X, Y, D): the line
+    slacks come out times D and the integer conic times D^2.  The chosen one
+    becomes a single Fraction: the same value as the table evaluated on
+    Fractions, and an int when x and y both are.
     """
+    row = _REGIONS[kind, region_case(d, k)]
     if exact:
-        lines, conic, union = _integer_row(kind, d, k)
+        d, k = int(d), int(k)  # a numpy integer would overflow
         X, D = x.numerator, x.denominator
         Y, DY = y.numerator, y.denominator
         if DY != D:
@@ -568,16 +572,14 @@ def region_margin(kind: str, d: int, k: int, x, y, lowest=min, highest=max, exac
             X *= DY // g
             Y *= D // g
             D *= DY // g
-        m = min([c * D - nx * X - ny * Y for c, nx, ny in lines])
-        if conic is not None:
-            A, B, C, CX, CY, C0 = conic
-            inner = -(A * X * X + B * X * Y + C * Y * Y + (CX * X + CY * Y + C0 * D) * D)
-            m = max(m * D, inner) if union else min(m * D, inner)
+        m = min(row.slacks(d, k, X, Y, D))
+        if row.conic is not None:
+            inner = -row.conic(d, k, True)(X, Y, D)
+            m = max(m * D, inner) if row.union else min(m * D, inner)
             D *= D
         if isinstance(x, int) and isinstance(y, int):
             return m
         return Fraction(m, D)
-    row = _REGIONS[kind, region_case(d, k)]
     slacks = row.slacks(d, k, x, y)
     if row.conic is None:
         return lowest(slacks)
@@ -586,23 +588,6 @@ def region_margin(kind: str, d: int, k: int, x, y, lowest=min, highest=max, exac
         return highest(lowest(slacks), inner)
     slacks.append(inner)
     return lowest(slacks)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _integer_row(kind: str, d: int, k: int) -> tuple:
-    """The (kind, d, k) row on integer coefficients, for exact margins.
-
-    Each line as (c, nx, ny) with nx x + ny y <= c, the conic's six
-    coefficients or None, and whether the conic is united with the lines.
-    Typed, so that a float or bool d or k misses the cache and is refused by
-    ``region_case``; numpy integers become Python ints here, so the integer
-    arithmetic cannot overflow.
-    """
-    row = _REGIONS[kind, region_case(d, k)]
-    d, k = int(d), int(k)
-    lines = tuple((h.c, h.nx, h.ny) for h in _halfplanes(row.slacks, d, k))
-    conic = None if row.conic is None else row.conic(d, k, True).coefficients()
-    return lines, conic, row.union
 
 
 def _meet(g: HalfPlane, h: HalfPlane) -> tuple:
@@ -659,7 +644,6 @@ class RegionBoundary:
 
     vertices: tuple
     arcs: tuple = ()
-    closed: bool = True
 
 
 def conic_arc_points(conic: Conic, start, end, n: int, anchor) -> list[tuple]:
@@ -762,7 +746,7 @@ def _fmt(v: float) -> str:
 def region_payload(rb: RegionBoundary, **meta) -> dict:
     """JSON-serializable dict for a region boundary."""
     payload = dict(meta)
-    payload["closed"] = rb.closed
+    payload["closed"] = True
     payload["vertices"] = [[float(x), float(y)] for x, y in rb.vertices]
     payload["arcs"] = [
         {
@@ -819,7 +803,7 @@ def region_svg(rb: RegionBoundary, style: dict | None = None) -> str:
     ]
     verts = [(float(x), float(y)) for x, y in rb.vertices]
     segments = list(zip(verts[:-1], verts[1:]))
-    if rb.closed and not rb.arcs:
+    if not rb.arcs:
         segments.append((verts[-1], verts[0]))
     for (ax, ay), (bx, by) in segments:
         parts.append(

@@ -236,13 +236,16 @@ def tomiyama_check(
     the first violating frame: an explicit one by name, counting the frames up
     to it as ``samples``, or a random one by index, counting all.
     ``worst_margin`` is the smallest relative minimal eigenvalue over the
-    counted frames.  A NaN, infinite or negative tol is refused.
+    counted frames.  A NaN, infinite or negative tol is refused, as is a
+    negative n_random; n_random = 0 tests the explicit frames alone.
     """
     _check_tolerances(tol)
+    if n_random < 0:
+        raise ValueError(f"n_random must be >= 0, got {n_random}")
     m = CovariantMap(d, float(p), float(q))  # refuses d < 2
     expl = explicit_frames(d, k)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d, k)))
-    V = np.concatenate([[fr.vectors for _, fr in expl], random_frames(d, k, max(n_random, 0), rng)])
+    V = np.concatenate([[fr.vectors for _, fr in expl], random_frames(d, k, n_random, rng)])
     M = np.empty((len(V), k * d, k * d), dtype=complex)
     margins = _relative_min_eig(_compressions(M, np.empty_like(M), V, m.p, m.q, d))
     bad = np.flatnonzero(margins < -tol)

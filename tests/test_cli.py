@@ -132,6 +132,21 @@ def test_region_svg_style_override(capsys, tmp_path):
     assert "#00ff00" in text and 'class="arc"' not in text
 
 
+@pytest.mark.parametrize("fmt, bad", [("svg", "out"), ("csv", "out"), ("svg", "style")])
+def test_a_bad_out_or_style_path_is_a_usage_error(capsys, tmp_path, fmt, bad):
+    # either used to end in a traceback and exit 1
+    missing = tmp_path / "missing" / "x"
+    argv = ["region", "map", "--d", "4", "--k", "3", "--format", fmt]
+    if bad == "out":
+        argv += ["--out", str(missing)]
+    else:
+        argv += ["--out", str(tmp_path / "p.svg"), "--style", str(missing)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(missing) in captured.err
+
+
 def test_cli_byte_identical_across_runs(capsys):
     _, out1 = run_cli(capsys, "classify-state", "--d", "5", "--a", "0.3", "--b", "-0.1")
     _, out2 = run_cli(capsys, "classify-state", "--d", "5", "--a", "0.3", "--b", "-0.1")
@@ -146,6 +161,15 @@ def test_conic_remark_classifications(capsys):
     assert json.loads(out)["classification"] == "hyperbola"
     _, out = run_cli(capsys, "conic", "--d", "5", "--k", "4")
     assert json.loads(out)["classification"] == "ellipse"
+
+
+@pytest.mark.parametrize("dual", [[], ["--dual"]])
+@pytest.mark.parametrize("k", ["-1", "0", "5"])
+def test_conic_refuses_k_outside_1_to_d(capsys, k, dual):
+    # conic --d 4 --k 0 used to print a hyperbola and exit 0
+    assert main(["conic", "--d", "4", "--k", k, *dual]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: k={k} out of range 1..4\n"
 
 
 def test_conic_dual_payload(capsys):

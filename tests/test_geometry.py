@@ -294,6 +294,24 @@ def test_exact_corners_sit_on_their_two_boundary_pieces(kind):
                 assert member(d, x, y, k).status == "boundary"
 
 
+@pytest.mark.parametrize("kind", ["map", "state"])
+def test_the_region_table_is_homogeneous(kind):
+    # exact margins evaluate a row at the numerators (X, Y) of a point over
+    # their common denominator D, which must give D times each line slack and
+    # D^2 times the conic
+    pts = [(x, y, w) for x in (-3, 0, 2, 7) for y in (-5, 1, 4) for w in (-3, 0, 1, 2, 9)]
+    for d in range(2, 13):
+        for k in range(1, d + 1):
+            row = geometry._REGIONS[kind, region_case(d, k)]
+            conic = row.conic(d, k, True) if row.conic else None
+            for x, y, w in pts:
+                slacks = row.slacks(d, k, x, y, w)
+                for t in (-3, 2, 5):
+                    assert row.slacks(d, k, t * x, t * y, t * w) == [t * s for s in slacks]
+                    if conic is not None:
+                        assert conic(t * x, t * y, t * w) == t * t * conic(x, y, w)
+
+
 @pytest.mark.parametrize("d,k", [(3, 2), (4, 3), (5, 4), (6, 5)])
 def test_map_arc_samples(d, k):
     rb = map_region_boundary(d, k, arc_samples=64)

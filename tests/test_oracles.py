@@ -611,6 +611,20 @@ def test_tomiyama_check_refuses_a_bad_tolerance(tol):
         tomiyama_check(3, 0.0, 0.9, 2, tol=tol)
 
 
+@pytest.mark.parametrize("n_random", [-1, -3])
+def test_tomiyama_check_refuses_a_negative_frame_count(n_random):
+    # n_random = -3 used to read consistent with samples 2, the explicit frames alone
+    with pytest.raises(ValueError, match="n_random must be >= 0"):
+        tomiyama_check(3, 0.2, 0.1, 2, n_random=n_random)
+
+
+def test_tomiyama_check_with_no_random_frames_tests_the_explicit_ones():
+    rep = tomiyama_check(3, 0.2, 0.1, 2, n_random=0)
+    assert rep.consistent and rep.samples == len(explicit_frames(3, 2))
+    rep = tomiyama_check(3, 0.0, 0.9, 2, n_random=0)
+    assert rep.verdict == "violated" and rep.witness["frame"] in ("standard", "fourier", "pair")
+
+
 def test_witness_grid_check_small():
     rep = witness_grid_check(4, grid_n=40)
     assert rep.consistent
