@@ -27,11 +27,9 @@ for the scalar decisions and the vectorized margin grids alike.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
-from .geometry import _is_exact, region_case, region_margin
+from .geometry import _check_finite, _is_exact, region_case, region_margin
 
 __all__ = [
     "MembershipVerdict",
@@ -51,45 +49,14 @@ __all__ = [
 BOUNDARY_TOL = 1e-9
 
 
-def _check_finite(*vals):
-    """Reject bools (an int subclass, else read as exact 0 or 1) and non-finite reals.
-
-    Anything other than int and Fraction, which are always finite, goes
-    through ``math.isfinite``: numpy scalars of every float width and 0-d
-    arrays included.  Python floats take the first branch, which keeps the
-    per-query float path as cheap as a bare finiteness test.
-    """
-    for v in vals:
-        if isinstance(v, float):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite input {v!r}")
-        elif type(v) not in (int, Fraction):
-            import numpy as np
-
-            if isinstance(v, (bool, np.bool_)):
-                raise ValueError(f"boolean input {v!r}")
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite input {v!r}")
-
-
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(namedtuple("MembershipVerdict", "status margin")):
     """Result of a single region-membership test.
 
     status is 'inside' | 'boundary' | 'outside'; margin is the minimum
     constraint slack (exact Fraction in exact mode).
     """
 
-    status: str
-    margin: object
-
-    def __init__(self, status: str, margin):
-        # The generated frozen __init__ sets each field through
-        # object.__setattr__, which costs about twice this; every profile
-        # builds d verdicts.
-        fields = self.__dict__
-        fields["status"] = status
-        fields["margin"] = margin
+    __slots__ = ()
 
     @property
     def member(self) -> bool:
@@ -137,13 +104,10 @@ def is_k_positive(d: int, p, q, k: int, tol: float = BOUNDARY_TOL) -> Membership
     return _verdict("map", d, k, p, q, tol)
 
 
-@dataclass(frozen=True)
-class KPositivityProfile:
-    d: int
-    p: object
-    q: object
-    max_k: int  # 0 means not even positive
-    per_k: tuple
+class KPositivityProfile(namedtuple("KPositivityProfile", "d p q max_k per_k")):
+    """The k-positivity verdicts of (p, q) for k = 1..d; max_k 0 means not even positive."""
+
+    __slots__ = ()
 
 
 def k_positivity_max(d: int, p, q, tol: float = BOUNDARY_TOL) -> KPositivityProfile:
@@ -172,13 +136,10 @@ def schmidt_membership(d: int, a, b, k: int, tol: float = BOUNDARY_TOL) -> Membe
     return _verdict("state", d, k, a, b, tol)
 
 
-@dataclass(frozen=True)
-class StateClassification:
-    d: int
-    a: object
-    b: object
-    schmidt_number: int | None  # None means not a state (outside the PSD triangle)
-    per_k: tuple
+class StateClassification(namedtuple("StateClassification", "d a b schmidt_number per_k")):
+    """Schmidt-number verdicts of (a, b), k = 1..d; schmidt_number is None for a non-state."""
+
+    __slots__ = ()
 
     @property
     def is_state(self) -> bool:
@@ -217,14 +178,14 @@ def k_block_positivity_max(d: int, a, b, tol: float = BOUNDARY_TOL) -> KPositivi
     return k_positivity_max(d, a, b, tol)
 
 
-@dataclass(frozen=True)
-class SuperpositivityProfile:
-    d: int
-    p: object
-    q: object
-    max_k: int  # d when the Choi matrix is PSD at all, else 0
-    min_k: int | None  # smallest k with k-superpositivity (the Schmidt number)
-    per_k: tuple
+class SuperpositivityProfile(namedtuple("SuperpositivityProfile", "d p q max_k min_k per_k")):
+    """The k-superpositivity verdicts of (p, q), k = 1..d.
+
+    max_k is d when the Choi matrix is PSD, else 0; min_k, the smallest k with
+    membership, is its Schmidt number (None when it is not PSD).
+    """
+
+    __slots__ = ()
 
 
 def k_superpositivity_max(d: int, p, q, tol: float = BOUNDARY_TOL) -> SuperpositivityProfile:

@@ -13,17 +13,18 @@ classification, the pairing-induced linear isomorphism between witness and
 state coordinates, pole-polar duality, five-point conic fitting (exact
 rational or floating point), and arc sampling for plots.
 
-Exact mode: corners, the pairing map and the five-point fit are evaluated in
-rational arithmetic whenever the inputs are rationals, and exact margins by
-the same table rows on the integer numerators of the point and their common
-denominator (as w), so boundary classification never depends on rounding.
-Arc sampling is always floating point.
+Exact mode: corners and the pairing map are evaluated in rational arithmetic
+whenever the inputs are rationals.  The five-point fit and exact margins work
+on the integer numerators of each point over its common denominator (as w):
+the fit by fraction-free integer elimination, the margins by the same table
+rows, so boundary classification never depends on rounding.  Arc sampling is
+always floating point.  The record types are immutable named tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -70,6 +71,27 @@ def _is_exact(*vals) -> bool:
     return True
 
 
+def _check_finite(*vals):
+    """Reject bools (an int subclass, else read as exact 0 or 1) and non-finite reals.
+
+    Anything other than int and Fraction, which are always finite, goes
+    through ``math.isfinite``: numpy scalars of every float width and 0-d
+    arrays included.  Python floats take the first branch, which keeps the
+    per-query float path as cheap as a bare finiteness test.
+    """
+    for v in vals:
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite input {v!r}")
+        elif type(v) not in (int, Fraction):
+            import numpy as np
+
+            if isinstance(v, (bool, np.bool_)):
+                raise ValueError(f"boolean input {v!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite input {v!r}")
+
+
 def _check_integer(v, name: str):
     if type(v) is int:
         return
@@ -84,22 +106,16 @@ def _check_integer(v, name: str):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Conic:
+class Conic(namedtuple("Conic", "A B C D E F")):
     """Quadratic plane curve A x^2 + B xy + C y^2 + D x + E y + F = 0.
 
     Coefficients may be ints/Fractions (exact) or floats.
     """
 
-    A: object
-    B: object
-    C: object
-    D: object
-    E: object
-    F: object
+    __slots__ = ()
 
     def coefficients(self) -> tuple:
-        return (self.A, self.B, self.C, self.D, self.E, self.F)
+        return tuple(self)
 
     def __call__(self, x, y, w=1):
         """The form at (x, y), or homogenized: w^2 times its value at (x/w, y/w)."""
@@ -119,7 +135,7 @@ class Conic:
         return self.B * self.B - 4 * self.A * self.C
 
     def as_float(self) -> "Conic":
-        coeffs = [float(v) for v in self.coefficients()]
+        coeffs = [float(v) for v in self]
         scale = max(abs(v) for v in coeffs)
         if scale == 0.0:
             raise ValueError("zero conic")
@@ -132,7 +148,7 @@ class Conic:
         determinant of the full 3x3 matrix of the quadratic form.
         """
         tol = 1e-12  # for float coefficients, relative to the largest one
-        A, B, C, D, E, F = self.coefficients()
+        A, B, C, D, E, F = self
         disc = self.discriminant()
         # determinant of [[2A, B, D], [B, 2C, E], [D, E, 2F]]
         det3 = (
@@ -140,7 +156,7 @@ class Conic:
             - B * (2 * B * F - D * E)
             + D * (B * E - 2 * C * D)
         )
-        if _is_exact(*self.coefficients()):
+        if _is_exact(*self):
             if (A == 0 and B == 0 and C == 0) or det3 == 0:
                 return "degenerate"
             if disc < 0:
@@ -148,7 +164,7 @@ class Conic:
             if disc > 0:
                 return "hyperbola"
             return "parabola"
-        scale = max(abs(float(v)) for v in self.coefficients())
+        scale = max(abs(float(v)) for v in self)
         if scale == 0.0:
             return "degenerate"
         if max(abs(float(A)), abs(float(B)), abs(float(C))) <= tol * scale:
@@ -209,17 +225,18 @@ def pairing_map_inv(d: int, pt: tuple) -> tuple:
     return ((v - (d + 1) * u) / den, (u - (d + 1) * v) / den)
 
 
-@dataclass(frozen=True)
-class HalfPlane:
-    """Constraint nx * x + ny * y <= c with (nx, ny) != (0, 0)."""
+class HalfPlane(namedtuple("HalfPlane", "nx ny c")):
+    """Constraint nx * x + ny * y <= c with finite entries and (nx, ny) != (0, 0)."""
 
-    nx: object
-    ny: object
-    c: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.nx == 0 and self.ny == 0:
+    def __new__(cls, nx, ny, c):
+        _check_finite(nx, ny, c)
+        if nx == 0 and ny == 0:
             raise ValueError("half-plane normal must be nonzero")
+        return super().__new__(cls, nx, ny, c)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def slack(self, pt):
         return self.c - self.nx * pt[0] - self.ny * pt[1]
@@ -234,17 +251,18 @@ def witness_halfplane(d: int, p, q) -> HalfPlane:
 def pole_of_tangent(conic: Conic, pt: tuple, tol: float = 1e-9) -> tuple:
     """Pole (w.r.t. the unit circle) of the tangent line to the conic at pt.
 
-    pt must lie on the conic.  Raises if the tangent passes through the
-    origin (zero denominator).
+    pt must lie on the conic, and it and the conic must be finite.  Raises if
+    the tangent passes through the origin (zero denominator).
     """
     x, y = pt
+    _check_finite(x, y, *conic)
     val = conic(x, y)
-    exact = _is_exact(x, y, *conic.coefficients())
+    exact = _is_exact(x, y, *conic)
     if exact:
         if val != 0:
             raise ValueError("point does not lie on the conic")
     else:
-        scale = max(abs(float(c)) for c in conic.coefficients())
+        scale = max(abs(float(c)) for c in conic)
         if abs(float(val)) > tol * max(1.0, scale):
             raise ValueError(f"point not on conic (residual {float(val):.3e})")
     den = conic.D * x + conic.E * y + 2 * conic.F
@@ -262,64 +280,65 @@ def pole_of_tangent(conic: Conic, pt: tuple, tol: float = 1e-9) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _exact_nullvector(rows: list[list[Fraction]]) -> list[Fraction]:
-    """Nullspace vector of a 5x6 rational system via Gauss-Jordan elimination."""
-    rows = [[Fraction(v) for v in row] for row in rows]
+def _integer_fit(pts) -> list[int]:
+    """Primitive integer null vector of the five monomial rows of rational points.
+
+    A point over its common denominator w, (X/w, Y/w), gives the integer row
+    (X^2, XY, Y^2, Xw, Yw, w^2): its monomial row times w^2, so the nullspace
+    is the same.  Gauss-Jordan elimination runs on those integers, each
+    updated row divided by the gcd of its entries.  The last nonzero
+    coefficient comes out positive.
+    """
+    rows = []
+    for x, y in pts:
+        w = math.lcm(x.denominator, y.denominator)
+        X, Y = x.numerator * (w // x.denominator), y.numerator * (w // y.denominator)
+        rows.append([X * X, X * Y, Y * Y, X * w, Y * w, w * w])
     pivot_cols: list[int] = []
-    r = 0
     for c in range(6):
-        piv = next((i for i in range(r, 5) if rows[i][c] != 0), None)
+        r = len(pivot_cols)
+        piv = next((i for i in range(r, 5) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
+        top = rows[r]
         for i in range(5):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                row = [top[c] * a - f * b for a, b in zip(rows[i], top)]
+                g = math.gcd(*row)  # 0 when the row vanishes, as a repeated point's does
+                rows[i] = [v // g for v in row] if g else row
         pivot_cols.append(c)
-        r += 1
-        if r == 5:
-            break
     if len(pivot_cols) < 5:
         raise ValueError("degenerate configuration: points do not determine a unique conic")
     free = next(c for c in range(6) if c not in pivot_cols)
-    sol = [Fraction(0)] * 6
-    sol[free] = Fraction(1)
-    for i, c in enumerate(pivot_cols):
-        sol[c] = -rows[i][free]
-    return sol
-
-
-def _primitive_integers(sol: list[Fraction]) -> list[int]:
-    den_lcm = 1
-    for v in sol:
-        den_lcm = den_lcm * v.denominator // math.gcd(den_lcm, v.denominator)
-    ints = [int(v * den_lcm) for v in sol]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    return [v // g for v in ints] if g else ints
+    scale = math.lcm(*(row[c] for row, c in zip(rows, pivot_cols)))
+    sol = [0] * 6
+    sol[free] = scale
+    for row, c in zip(rows, pivot_cols):
+        sol[c] = -row[free] * (scale // row[c])
+    g = math.gcd(*sol)
+    return [v // g for v in sol]
 
 
 def conic_through_five_points(points, interior=None) -> Conic:
     """Conic through five points in general position.
 
     Solves the homogeneous 5x6 system in the monomials (x^2, xy, y^2, x, y, 1).
-    With exact rational points the nullspace is computed exactly and the
-    coefficients are reduced to primitive integers; otherwise an SVD
-    nullvector is used.  If ``interior`` is given, the sign is normalized so
-    the conic evaluates <= 0 there.  Raises on rank-deficient configurations.
+    With exact rational points the nullspace is computed exactly, by
+    fraction-free integer elimination, as primitive integer coefficients
+    whose last nonzero one is positive; otherwise an SVD nullvector is used.
+    If ``interior`` is given, the sign is normalized so the conic evaluates
+    <= 0 there.  Raises on rank-deficient configurations and on a NaN,
+    infinite or bool coordinate.
     """
     pts = [tuple(p) for p in points]
     if len(pts) != 5:
         raise ValueError("exactly five points required")
+    _check_finite(*(v for pt in pts for v in pt), *(() if interior is None else interior))
     exact = all(_is_exact(x, y) for x, y in pts)
     if exact:
-        rows = [[x * x, x * y, y * y, x, y, Fraction(1)] for x, y in pts]
-        coeffs = _primitive_integers(_exact_nullvector(rows))
-        conic = Conic(*coeffs)
+        conic = Conic(*_integer_fit(pts))
     else:
         import numpy as np
 
@@ -333,7 +352,7 @@ def conic_through_five_points(points, interior=None) -> Conic:
     if interior is not None:
         val = conic(interior[0], interior[1])
         if (exact and val > 0) or (not exact and float(val) > 0.0):
-            conic = Conic(*(-v for v in conic.coefficients()))
+            conic = Conic(*(-v for v in conic))
     return conic
 
 
@@ -408,7 +427,7 @@ def tangency_discriminant(conic: Conic, line: HalfPlane):
     inputs.  Raises if the restriction is not genuinely quadratic.
     """
     nx, ny, c = line.nx, line.ny, line.c
-    exact = _is_exact(nx, ny, c, *conic.coefficients())
+    exact = _is_exact(nx, ny, c, *conic)
     # rational point on the line plus direction (ny, -nx)
     if ny != 0:
         x0, y0 = 0, Fraction(c, ny) if exact else c / ny
@@ -493,8 +512,9 @@ def _halfplanes(slacks, d: int, k: int) -> list[HalfPlane]:
 _DUAL_TANGENTS = _slacks(_L8, _L10, _L5, _L11, _L1)
 
 
-@dataclass(frozen=True)
-class _Region:
+class _Region(
+    namedtuple("_Region", "slacks conic union ends anchor", defaults=(None, False, None, None))
+):
     """One (kind, case) row: corner i is where lines i-1 and i meet (cyclically).
 
     A ``conic`` (``(d, k, exact) -> Conic``) adds the slack -conic(x, y, w).  It
@@ -504,11 +524,7 @@ class _Region:
     line, the chord.  ``anchor`` is a point on the conic away from the arc.
     """
 
-    slacks: object
-    conic: object = None
-    union: bool = False
-    ends: object = None
-    anchor: object = None
+    __slots__ = ()
 
 
 def _region(*lines, **conic) -> _Region:
@@ -623,18 +639,13 @@ def state_region_vertices(d: int, k: int, exact: bool = False) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(namedtuple("Arc", "conic start end samples")):
     """A conic arc from start to end with sampled points (endpoints included)."""
 
-    conic: Conic
-    start: tuple
-    end: tuple
-    samples: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RegionBoundary:
+class RegionBoundary(namedtuple("RegionBoundary", "vertices arcs", defaults=((),))):
     """Closed region boundary: straight segments through vertices, then arcs.
 
     The traversal runs vertices[0] -> ... -> vertices[-1]; if arcs are present
@@ -642,8 +653,7 @@ class RegionBoundary:
     closes with a final straight segment.
     """
 
-    vertices: tuple
-    arcs: tuple = ()
+    __slots__ = ()
 
 
 def conic_arc_points(conic: Conic, start, end, n: int, anchor) -> list[tuple]:
@@ -750,7 +760,7 @@ def region_payload(rb: RegionBoundary, **meta) -> dict:
     payload["vertices"] = [[float(x), float(y)] for x, y in rb.vertices]
     payload["arcs"] = [
         {
-            "conic": [float(c) for c in arc.conic.coefficients()],
+            "conic": [float(c) for c in arc.conic],
             "start": [float(arc.start[0]), float(arc.start[1])],
             "end": [float(arc.end[0]), float(arc.end[1])],
             "samples": [[float(x), float(y)] for x, y in arc.samples],

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from schmidt_cone.classify import (
     schmidt_number,
 )
 from schmidt_cone.geometry import (
+    HalfPlane,
+    kpos_conic,
     map_region_boundary,
     map_region_vertices,
     region_contains,
@@ -402,3 +405,23 @@ def test_figure_concordance_d4():
         idx = np.nonzero(sel)
         for i, j in zip(idx[0][::7], idx[1][::7]):
             assert (sm[i, j] > 0) == region_contains(s_rb, (P[i, j], Q[i, j]), tol=1e-7)
+
+
+def test_result_types_are_immutable_picklable_named_tuples():
+    conic = kpos_conic(5, 3, exact=True)
+    assert repr(conic) == "Conic(A=14, B=-32, C=4, D=-13, E=-3, F=-1)"
+    assert conic == (14, -32, 4, -13, -3, -1) == conic.coefficients()
+    rb = state_region_boundary(5, 3, arc_samples=8)
+    cls = schmidt_number(5, Fraction(3, 10), Fraction(-1, 10))
+    results = [conic, HalfPlane(1, 2, 3), rb, rb.arcs[0], cls, cls.per_k[0]]
+    results += [k_positivity_max(5, 0.1, 0.2), k_superpositivity_max(5, 0.1, 0.2)]
+    for obj in results:
+        with pytest.raises(AttributeError):
+            setattr(obj, obj._fields[0], None)
+        with pytest.raises(AttributeError):
+            obj.extra = None
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and type(back) is type(obj) and repr(back) == repr(obj)
+    assert pickle.loads(pickle.dumps(cls)).is_state and cls.schmidt_number == 2
+    with pytest.raises(ValueError):
+        HalfPlane(0, 0, 1)

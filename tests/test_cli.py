@@ -379,7 +379,7 @@ for argv in json.loads(sys.argv[1]):
         os.remove(path)
     results.append([code, out.getvalue(), err.getvalue(), written])
 heavy = ["numpy", "schmidt_cone.oracles", "schmidt_cone.symmetry", "schmidt_cone.linalg",
-         "concurrent.futures.process"]
+         "concurrent.futures.process", "dataclasses", "inspect"]
 print(json.dumps({"results": results, "loaded": [m for m in heavy if m in sys.modules]}))
 """
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from schmidt_cone.geometry import (
     Conic,
+    HalfPlane,
     conic_through_five_points,
     dual_conic,
     dual_tangency_points,
@@ -133,6 +136,52 @@ def test_pole_of_tangent_errors():
         pole_of_tangent(parabola, (0, 0))  # tangent y=0 passes through the origin
 
 
+_BAD = [math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf")]
+
+
+@pytest.mark.parametrize("bad", [*_BAD, True, np.bool_(False)])
+def test_pole_of_tangent_refuses_a_non_finite_or_bool_point(bad):
+    conic = kpos_conic(5, 4, exact=True)
+    for pt in ((bad, 0.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="non-finite|boolean"):
+            pole_of_tangent(conic, pt)
+    with pytest.raises(ValueError, match="non-finite|boolean"):
+        pole_of_tangent(Conic(1, 0, 1, 0, 0, bad), (1.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", _BAD)
+def test_witness_halfplane_refuses_a_non_finite_witness(bad):
+    for p, q in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(ValueError, match="non-finite"):
+            witness_halfplane(4, p, q)
+
+
+@pytest.mark.parametrize("bad", [*_BAD, True, np.bool_(True)])
+def test_halfplane_refuses_a_non_finite_or_bool_entry(bad):
+    for entries in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
+        with pytest.raises(ValueError, match="non-finite|boolean"):
+            HalfPlane(*entries)
+    with pytest.raises(ValueError, match="nonzero"):
+        HalfPlane(0, 0.0, 1)
+    with pytest.raises(ValueError, match="nonzero"):
+        HalfPlane(1, 0, 1)._replace(nx=0)
+
+
+@pytest.mark.parametrize("bad", [*_BAD, True, np.bool_(False)])
+def test_conic_through_five_points_refuses_a_non_finite_or_bool_coordinate(bad):
+    circle = [(1, 0), (0, 1), (-1, 0), (0, -1), (Fraction(3, 5), Fraction(4, 5))]
+    for pts in (circle, [(float(x), float(y)) for x, y in circle]):
+        for i in range(5):
+            for j in range(2):
+                moved = [list(pt) for pt in pts]
+                moved[i][j] = bad
+                with pytest.raises(ValueError, match="non-finite|boolean"):
+                    conic_through_five_points(moved)
+        for interior in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match="non-finite|boolean"):
+                conic_through_five_points(pts, interior=interior)
+
+
 @pytest.mark.parametrize("d,k", [(4, 3), (5, 3), (5, 4)])
 def test_pole_consistency_with_dual_conic(d, k):
     conic = kpos_conic(d, k)
@@ -198,8 +247,94 @@ def test_conic_five_points_random_refit_round_trip():
         assert cos_sim >= 1 - 1e-9
 
 
+def _exact_fit_lines():
+    """One line per exact five-point fit: the inputs and the conic's repr or the error.
+
+    4,000 seeded sets of ints and Fractions n/m with |n| <= 12 and m <= 12.  Of
+    every five sets one repeats a point and one puts four points on a line; a
+    random half pass an interior point.  Then ``dual_conic(d, k)`` for every
+    case-3 pair with d <= 40.
+    """
+    rng = random.Random(11)
+
+    def coord():
+        v = Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 5, 7, 12)))
+        return int(v) if v.denominator == 1 and rng.random() < 0.5 else v
+
+    for i in range(4000):
+        pts = [(coord(), coord()) for _ in range(5)]
+        if i % 5 == 1:
+            src, dst = rng.sample(range(5), 2)
+            pts[dst] = pts[src]
+        elif i % 5 == 2:
+            (x0, y0), (u, v) = pts[0], (coord(), coord())
+            if u == v == 0:
+                u = 1
+            ts = rng.sample(range(-6, 7), 4)
+            for j, t in zip(rng.sample(range(5), 4), ts):
+                pts[j] = (x0 + Fraction(t, 3) * u, y0 + Fraction(t, 3) * v)
+        interior = (coord(), coord()) if rng.random() < 0.5 else None
+        try:
+            res = repr(conic_through_five_points(pts, interior))
+        except ValueError as e:
+            res = f"ValueError: {e}"
+        yield f"fit {pts!r} {interior!r} {res}\n"
+    for d, k in _case3_pairs(40):
+        yield f"dual {d} {k} {dual_conic(d, k)!r}\n"
+
+
+def test_exact_fits_match_the_pinned_digest():
+    """Every exact fit hashes to a digest pinned on the Fraction Gauss-Jordan fit.
+
+    The digest was computed before the fit moved to fraction-free integer
+    elimination.  It pins that the move changed no coefficient, no sign, no
+    coefficient type and no refusal.
+    """
+    h = hashlib.sha256()
+    lines = list(_exact_fit_lines())
+    for line in lines:
+        h.update(line.encode())
+    assert len(lines) == 4000 + len(_case3_pairs(40))
+    assert sum("ValueError" in line for line in lines) == 1607  # every repeat and four-on-a-line set
+    assert h.hexdigest() == "a94c80911bd57238b54e77d0f4329662edf7fe23d1b9dc32ff55f22435c73527"
+
+
 def _case3_pairs(dmax):
     return [(d, k) for d in range(2, dmax + 1) for k in range(1, d + 1) if region_case(d, k) == 3]
+
+
+def test_dual_conic_is_the_polar_dual_of_the_kpos_conic():
+    """The dual ellipse is the kpos conic's dual, carried to state coordinates.
+
+    With Q the symmetric matrix of ``kpos_conic``, adj(Q) is its dual conic in
+    line coordinates.  J = diag(1, 1, -1) turns that into the polar curve with
+    respect to the unit circle, and T (the pairing map, extended by w -> w)
+    moves it to state coordinates: T^t J adj(Q) J T, made primitive with A > 0.
+    """
+
+    def mul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(3)) for j in range(3)] for i in range(3)]
+
+    def adj(m):
+        return [
+            [m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+             - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3] for j in range(3)]
+            for i in range(3)
+        ]
+
+    J = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+    for d, k in _case3_pairs(40):
+        A, B, C, D, E, F = kpos_conic(d, k, exact=True).coefficients()
+        Q = [[2 * A, B, D], [B, 2 * C, E], [D, E, 2 * F]]
+        T = [[-(d - 1) * (d + 1), -(d - 1), 0], [-(d - 1), -(d - 1) * (d + 1), 0], [0, 0, 1]]
+        Tt = [list(col) for col in zip(*T)]
+        M = mul(mul(mul(mul(Tt, J), adj(Q)), J), T)
+        coeffs = [M[0][0], 2 * M[0][1], M[1][1], 2 * M[0][2], 2 * M[1][2], M[2][2]]
+        g = math.gcd(*coeffs) * (1 if coeffs[0] > 0 else -1)
+        assert dual_conic(d, k, exact=True).coefficients() == tuple(c // g for c in coeffs)
+        chord = geometry._REGIONS["state", 3].slacks
+        for x, y in dual_tangency_points(d, k, exact=True)[-2:]:
+            assert chord(d, k, x, y)[-1] == 0  # the arc's ends lie on the state chord
 
 
 def test_dual_conic_five_point_zeros_exact():
