@@ -68,14 +68,9 @@ def _cmd_classify_state(args) -> int:
     return 0
 
 
-def _load_style(path: str | None) -> dict:
-    if path is None:
-        from importlib import resources
-
-        text = resources.files("schmidt_cone").joinpath("svg_style.cfg").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+def _load_style(path: str) -> dict:
+    with open(path) as fh:
+        text = fh.read()
     style = {}
     for line in text.splitlines():
         line = line.strip()
@@ -100,7 +95,7 @@ def _cmd_region(args) -> int:
     if args.format == "csv":
         content = geometry.region_csv(rb)
     else:
-        content = geometry.region_svg(rb, _load_style(args.style))
+        content = geometry.region_svg(rb, None if args.style is None else _load_style(args.style))
     with open(args.out, "w") as fh:
         fh.write(content)
     _emit(
@@ -114,16 +109,14 @@ def _cmd_region(args) -> int:
     return 0
 
 
+_SUITES = ("tomiyama", "frames", "twirl", "witness", "duality")
+
+
 def _cmd_verify(args) -> int:
     from . import oracles
 
-    suites = (
-        ["tomiyama", "frames", "twirl", "witness", "duality"]
-        if args.suite == "all"
-        else [args.suite]
-    )
     reports = {}
-    for name in suites:
+    for name in _SUITES if args.suite == "all" else [args.suite]:
         if name == "tomiyama":
             rep = oracles.grid_agreement(
                 args.d,
@@ -225,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     rg.set_defaults(func=_cmd_region)
 
     vf = sub.add_parser("verify", help="run oracle verification suites")
-    vf.add_argument("--suite", choices=["all", "tomiyama", "frames", "twirl", "witness", "duality"], required=True)
+    vf.add_argument("--suite", choices=["all", *_SUITES], required=True)
     vf.add_argument("--d", type=int, required=True)
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--grid", type=int, default=200)

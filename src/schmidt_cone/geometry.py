@@ -131,9 +131,6 @@ class Conic(namedtuple("Conic", "A B C D E F")):
     def gradient(self, x, y) -> tuple:
         return (2 * self.A * x + self.B * y + self.D, self.B * x + 2 * self.C * y + self.E)
 
-    def discriminant(self):
-        return self.B * self.B - 4 * self.A * self.C
-
     def as_float(self) -> "Conic":
         coeffs = [float(v) for v in self]
         scale = max(abs(v) for v in coeffs)
@@ -149,7 +146,7 @@ class Conic(namedtuple("Conic", "A B C D E F")):
         """
         tol = 1e-12  # for float coefficients, relative to the largest one
         A, B, C, D, E, F = self
-        disc = self.discriminant()
+        disc = B * B - 4 * A * C
         # determinant of [[2A, B, D], [B, 2C, E], [D, E, 2F]]
         det3 = (
             2 * A * (4 * C * F - E * E)
@@ -219,10 +216,8 @@ def pairing_map(d: int, pt: tuple) -> tuple:
 def pairing_map_inv(d: int, pt: tuple) -> tuple:
     """Exact inverse of pairing_map; determinant (d-1)^2 (d^2 + 2d) != 0."""
     u, v = pt
-    den = (d - 1) * (d * d + 2 * d)
-    if _is_exact(u, v):
-        return (Fraction(v - (d + 1) * u, den), Fraction(u - (d + 1) * v, den))
-    return ((v - (d + 1) * u) / den, (u - (d + 1) * v) / den)
+    inv = Fraction(1, (d - 1) * (d * d + 2 * d))  # a float times it is a float
+    return ((v - (d + 1) * u) * inv, (u - (d + 1) * v) * inv)
 
 
 class HalfPlane(namedtuple("HalfPlane", "nx ny c")):
@@ -244,6 +239,7 @@ class HalfPlane(namedtuple("HalfPlane", "nx ny c")):
 
 def witness_halfplane(d: int, p, q) -> HalfPlane:
     """Half-plane constraint on states induced by the extreme witness (p, q)."""
+    _check_finite(p, q)  # before pairing_map turns a bool into a number
     nx, ny = pairing_map(d, (p, q))
     return HalfPlane(nx, ny, 1)
 
@@ -268,8 +264,7 @@ def pole_of_tangent(conic: Conic, pt: tuple, tol: float = 1e-9) -> tuple:
     den = conic.D * x + conic.E * y + 2 * conic.F
     if (exact and den == 0) or (not exact and abs(float(den)) < 1e-14):
         raise ValueError("tangent line passes through the origin; pole undefined")
-    num_x = 2 * conic.A * x + conic.B * y + conic.D
-    num_y = 2 * conic.C * y + conic.B * x + conic.E
+    num_x, num_y = conic.gradient(x, y)
     if exact:
         return (-Fraction(num_x, 1) / den, -Fraction(num_y, 1) / den)
     return (-num_x / den, -num_y / den)

@@ -16,7 +16,6 @@ __all__ = [
     "pairing",
     "max_entangled",
     "flip",
-    "kron",
 ]
 
 
@@ -55,7 +54,7 @@ def schmidt_spectrum(vec, dim_a: int, dim_b: int, tol: float = 1e-12) -> np.ndar
     """Schmidt coefficients of a bipartite vector, nonincreasing.
 
     The vector of length ``dim_a * dim_b`` is reshaped row-major to a
-    dim_a x dim_b matrix (index (i, j) -> i * dim_b + j, matching ``kron``)
+    dim_a x dim_b matrix (index (i, j) -> i * dim_b + j, matching ``np.kron``)
     and its singular values above ``tol`` are returned.  The Schmidt rank is
     the length of the result; a zero vector yields an empty spectrum.
     """
@@ -96,8 +95,3 @@ def flip(d: int) -> np.ndarray:
         for j in range(d):
             F[i * d + j, j * d + i] = 1.0
     return F
-
-
-def kron(A, B) -> np.ndarray:
-    """Kronecker product with row-major index convention (i, j) -> i * dB + j."""
-    return np.kron(np.asarray(A), np.asarray(B))

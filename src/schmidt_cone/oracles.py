@@ -12,6 +12,9 @@ tomiyama_matrix is its literal reference.  The protocols are embarrassingly
 parallel over grid points; each point draws its own frames from a
 counter-derived seed, so results are independent of scheduling and worker
 count.
+
+A report is violated exactly when it carries a witness: each suite names
+what it found against the closed forms, and a consistent run names nothing.
 """
 
 from __future__ import annotations
@@ -250,7 +253,7 @@ def tomiyama_check(
     margins = _relative_min_eig(_compressions(M, np.empty_like(M), V, m.p, m.q, d))
     bad = np.flatnonzero(margins < -tol)
     if not bad.size:
-        return OracleReport("consistent", samples=len(V), worst_margin=float(np.min(margins)))
+        return OracleReport(samples=len(V), worst_margin=float(np.min(margins)))
     i = int(bad[0])
     if i < len(expl):
         witness, tried = {"frame": expl[i][0]}, i + 1
@@ -258,7 +261,7 @@ def tomiyama_check(
         witness, tried = {"frame": "random", "index": i - len(expl)}, len(V)
     witness["min_eig"] = float(margins[i])
     worst = float(np.min(margins[:tried]))
-    return OracleReport("violated", witness=witness, samples=tried, worst_margin=worst)
+    return OracleReport(witness, samples=tried, worst_margin=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +453,18 @@ def witness_violation_search(
 # ---------------------------------------------------------------------------
 
 
-def _min_generalized_eig(M: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray]:
-    w, U = np.linalg.eigh(G)
+def _min_generalized_eig(M: np.ndarray, F: np.ndarray) -> tuple[float, np.ndarray]:
+    """Least eigenvalue of M, hermitized, against kron(F^H F, I), with its d x k factors."""
+    d, k = F.shape
+    M = M.reshape(k * d, k * d)
+    M = (M + M.conj().T) / 2
+    w, U = np.linalg.eigh(np.kron(F.conj().T @ F, np.eye(d)))
     keep = w > 1e-12 * max(float(w[-1]), 1e-300)
     W = U[:, keep] / np.sqrt(w[keep])
     M2 = W.conj().T @ M @ W
     M2 = (M2 + M2.conj().T) / 2
     vals, vecs = np.linalg.eigh(M2)
-    return float(vals[0]), W @ vecs[:, 0]
+    return float(vals[0]), (W @ vecs[:, 0]).reshape(k, d).T
 
 
 def block_positivity_falsifier(
@@ -484,18 +491,9 @@ def block_positivity_falsifier(
     A = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
     B = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
     val = np.inf
-    eye_d = np.eye(d)
     for _ in range(iters):
-        M = np.einsum("abce,bi,ej->iajc", X4, B.conj(), B).reshape(k * d, k * d)
-        M = (M + M.conj().T) / 2
-        G = np.kron(B.conj().T @ B, eye_d)
-        val, vec = _min_generalized_eig(M, G)
-        A = vec.reshape(k, d).T
-        M = np.einsum("abce,ai,cj->ibje", X4, A.conj(), A).reshape(k * d, k * d)
-        M = (M + M.conj().T) / 2
-        G = np.kron(A.conj().T @ A, eye_d)
-        val, vec = _min_generalized_eig(M, G)
-        B = vec.reshape(k, d).T
+        val, A = _min_generalized_eig(np.einsum("abce,bi,ej->iajc", X4, B.conj(), B), B)
+        val, B = _min_generalized_eig(np.einsum("abce,ai,cj->ibje", X4, A.conj(), A), A)
         if val < -tol * scale:
             break
     if val >= -tol * scale:
@@ -511,9 +509,8 @@ def block_positivity_falsifier(
 
 @dataclass
 class OracleReport:
-    """Outcome of a verification run; a violated verdict carries a witness."""
+    """Outcome of a verification run: violated exactly when it carries a witness."""
 
-    verdict: str  # "consistent" | "violated"
     witness: object = None
     samples: int = 0
     worst_margin: float = float("inf")
@@ -521,7 +518,11 @@ class OracleReport:
 
     @property
     def consistent(self) -> bool:
-        return self.verdict == "consistent"
+        return self.witness is None
+
+    @property
+    def verdict(self) -> str:
+        return "consistent" if self.witness is None else "violated"
 
     def to_dict(self) -> dict:
         return {
@@ -560,34 +561,26 @@ def duality_sanity(d: int, samples: int = 1000, seed: int = 0) -> OracleReport:
                 return p, q
 
     witness = None
-    for _ in range(half):
-        n_mix = 4
-        w = rng.dirichlet(np.ones(n_mix))
-        X = np.zeros((d * d, d * d), dtype=complex)
-        for t in range(n_mix):
-            u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            uv = np.kron(u / np.linalg.norm(u), v / np.linalg.norm(v))
-            X += w[t] * np.outer(uv, uv.conj())
-        p, q = _sample_region(1)
+    for i in range(samples):
+        if i < half:
+            w = rng.dirichlet(np.ones(4))
+            X = np.zeros((d * d, d * d), dtype=complex)
+            for t in range(4):
+                u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                uv = np.kron(u / np.linalg.norm(u), v / np.linalg.norm(v))
+                X += w[t] * np.outer(uv, uv.conj())
+            pair, k = "EB-vs-positive", 1
+        else:
+            g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+            X = g @ g.conj().T
+            X /= np.trace(X).real
+            pair, k = "CP-vs-CP", d
+        p, q = _sample_region(k)
         val = float(np.sum(X * InvariantState(d, p, q).matrix().T).real)
         if val < worst:
-            worst, witness = val, {"pair": "EB-vs-positive", "p": p, "q": q, "value": val}
-    for _ in range(samples - half):
-        g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-        W = g @ g.conj().T
-        W /= np.trace(W).real
-        p, q = _sample_region(d)
-        val = float(np.sum(W * InvariantState(d, p, q).matrix().T).real)
-        if val < worst:
-            worst, witness = val, {"pair": "CP-vs-CP", "p": p, "q": q, "value": val}
-    violated = worst < -1e-10
-    return OracleReport(
-        "violated" if violated else "consistent",
-        witness=witness if violated else None,
-        samples=samples,
-        worst_margin=float(worst),
-    )
+            worst, witness = val, {"pair": pair, "p": p, "q": q, "value": val}
+    return OracleReport(witness if worst < -1e-10 else None, samples=samples, worst_margin=float(worst))
 
 
 # --- classifier <-> frame-compression grid agreement -----------------------
@@ -700,10 +693,8 @@ def grid_agreement(
     checked = sum(r["checked"] for r in results)
     random_only = sum(r["random_only"] for r in results)
     worst = min((r["worst_inside"] for r in results), default=np.inf)
-    verdict = "consistent" if not disagreements else "violated"
     return OracleReport(
-        verdict,
-        witness=disagreements[:5] or None,
+        disagreements[:5] or None,
         samples=checked,
         worst_margin=float(worst),
         details={
@@ -754,8 +745,7 @@ def witness_grid_check(
             )
         if bad.size > 5:
             mismatches.append({"k": k, "more": int(bad.size - 5)})
-    verdict = "consistent" if not mismatches else "violated"
-    return OracleReport(verdict, witness=mismatches or None, samples=checked, worst_margin=0.0,
+    return OracleReport(mismatches or None, samples=checked, worst_margin=0.0,
                         details={"d": d, "grid": grid_n, "arc_samples": arc_samples})
 
 
@@ -776,9 +766,7 @@ def frame_minima_check(d: int, restarts: int = 50, iters: int = 150, seed: int =
         minima[k] = val
         if val < target - 1e-9 or val > target + 1e-6:
             failures.append({"k": k, "optimized": val, "target": target})
-    verdict = "consistent" if not failures else "violated"
-    return OracleReport(verdict, witness=failures or None, samples=d,
-                        worst_margin=0.0, details={"d": d, "minima": minima})
+    return OracleReport(failures or None, samples=d, worst_margin=0.0, details={"d": d, "minima": minima})
 
 
 # --- Twirl consistency -------------------------------------------------------
@@ -806,10 +794,8 @@ def twirl_consistency(
         err = float(np.linalg.norm(mc - exact))
         if err > worst:
             worst, worst_op = err, i
-    violated = worst > tol
     return OracleReport(
-        "violated" if violated else "consistent",
-        witness={"operator_index": worst_op, "frobenius_error": worst} if violated else None,
+        {"operator_index": worst_op, "frobenius_error": worst} if worst > tol else None,
         samples=n_ops,
         worst_margin=float(worst),
         details={"d": d, "n_samples": n_samples, "max_frobenius_error": worst},

@@ -61,16 +61,9 @@ class CovariantMap:
         return out
 
     def choi(self) -> np.ndarray:
-        """Normalized Choi matrix (1/d) sum_ij |i><j| x map(|i><j|)."""
-        d = self.d
-        C = np.zeros((d * d, d * d), dtype=complex)
-        unit = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                unit[i, j] = 1.0
-                C[i * d : (i + 1) * d, j * d : (j + 1) * d] = self.apply(unit) / d
-                unit[i, j] = 0.0
-        return C
+        """Normalized Choi matrix (id x map)(|Omega><Omega|) = (1/d) sum_ij |i><j| x map(|i><j|)."""
+        omega = max_entangled(self.d)
+        return apply_channel_right(self, np.outer(omega, omega.conj()))
 
 
 @dataclass(frozen=True)

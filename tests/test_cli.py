@@ -345,7 +345,7 @@ def test_verification_and_arithmetic_failures_exit_3(capsys, monkeypatch):
     from schmidt_cone import classify, oracles
 
     def inconsistent(d, **kwargs):
-        return oracles.OracleReport("violated", witness={"k": 1}, samples=d)
+        return oracles.OracleReport(witness={"k": 1}, samples=d)
 
     monkeypatch.setattr(oracles, "frame_minima_check", inconsistent)
     assert main(["verify", "--suite", "frames", "--d", "3"]) == 3

@@ -79,6 +79,16 @@ def test_classify_conic_float_path():
     assert Conic(1.0, 0.0, 1.0, 0.0, 0.0, -1.0).classify() == "ellipse"
 
 
+def test_float_classification_agrees_with_exact_on_every_region_conic():
+    # the tolerance branch of classify: read as exact Fractions, the float
+    # forms of the degenerate kpos conics (k = d, and case 2) are hyperbolas
+    conics = [kpos_conic(d, k, exact=True) for d in range(2, 41) for k in range(1, d + 1)]
+    conics += [dual_conic(d, k, exact=True) for d, k in _case3_pairs(40)]
+    assert len(conics) == 1199
+    assert [c.as_float().classify() for c in conics] == [c.classify() for c in conics]
+    assert {c.classify() for c in conics} == {"degenerate", "ellipse", "hyperbola"}
+
+
 def test_float_case3_conics_are_shared_and_unchanged():
     # built once per (d, k) and shared, equal to a fresh float conversion of
     # the exact conic, so float margins keep every bit
@@ -149,10 +159,11 @@ def test_pole_of_tangent_refuses_a_non_finite_or_bool_point(bad):
         pole_of_tangent(Conic(1, 0, 1, 0, 0, bad), (1.0, 0.0))
 
 
-@pytest.mark.parametrize("bad", _BAD)
+@pytest.mark.parametrize("bad", [*_BAD, True, np.bool_(False)])
 def test_witness_halfplane_refuses_a_non_finite_witness(bad):
+    # a bool used to be read as a number: HalfPlane(-15, -3, 1) at d = 4 for True
     for p, q in ((bad, 0.0), (0.0, bad)):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite|boolean"):
             witness_halfplane(4, p, q)
 
 
@@ -335,6 +346,49 @@ def test_dual_conic_is_the_polar_dual_of_the_kpos_conic():
         chord = geometry._REGIONS["state", 3].slacks
         for x, y in dual_tangency_points(d, k, exact=True)[-2:]:
             assert chord(d, k, x, y)[-1] == 0  # the arc's ends lie on the state chord
+
+
+def _primitive(nx, ny, c):
+    """A line n.x <= c as its primitive integer triple, the side kept."""
+    den = math.lcm(*(Fraction(v).denominator for v in (nx, ny, c)))
+    ints = [int(v * den) for v in (nx, ny, c)]
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def test_the_map_and_state_tables_are_exact_polar_duals():
+    """Each table's lines are the witness half-planes of the other's corners.
+
+    The pairing is symmetric, so a state corner (a, b) cuts the maps by
+    witness_halfplane(d, a, b) as a map corner cuts the states.  The state
+    chord of case 3 is no such line: the dual ellipse replaces it.  The
+    ellipse's five tangency points are the poles of the kpos conic's tangents
+    at (1, 0), (0, 1), (0, -1/(d-1)) and the map arc's ends, carried back by
+    the inverse pairing map.
+    """
+    n_state = n_map = 0
+    for d in range(2, 41):
+        for k in range(1, d + 1):
+            case = region_case(d, k)
+            map_corners = map_region_vertices(d, k, exact=True)
+            state_corners = state_region_vertices(d, k, exact=True)
+            from_maps = {_primitive(*witness_halfplane(d, p, q)) for p, q in map_corners}
+            from_states = {_primitive(*witness_halfplane(d, a, b)) for a, b in state_corners}
+            state_lines = geometry._halfplanes(geometry._REGIONS["state", case].slacks, d, k)
+            if case == 3:
+                state_lines = state_lines[:-1]  # the chord
+            map_lines = geometry._halfplanes(geometry._REGIONS["map", case].slacks, d, k)
+            assert {_primitive(*h) for h in state_lines} <= from_maps, (d, k)
+            assert {_primitive(*h) for h in map_lines} <= from_states, (d, k)
+            n_state += len(state_lines)
+            n_map += len(map_lines)
+            if case == 3:
+                start, end = geometry._REGIONS["map", 3].ends(d, k)
+                conic = kpos_conic(d, k, exact=True)
+                touch = [(1, 0), (0, 1), (0, Fraction(-1, d - 1)), start, end]
+                poles = [pairing_map_inv(d, pole_of_tangent(conic, pt)) for pt in touch]
+                assert poles == dual_tangency_points(d, k, exact=True), (d, k)
+    assert (n_state, n_map) == (3237, 2857)
 
 
 def test_dual_conic_five_point_zeros_exact():

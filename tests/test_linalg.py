@@ -4,7 +4,6 @@ import pytest
 from schmidt_cone.linalg import (
     flip,
     is_psd,
-    kron,
     max_entangled,
     pairing,
     schmidt_spectrum,
@@ -136,6 +135,6 @@ def test_kron_index_convention():
     a[1] = 1.0
     b = np.zeros(3)
     b[2] = 1.0
-    v = kron(a, b)
+    v = np.kron(a, b)
     assert v[1 * 3 + 2] == 1.0
     assert np.sum(np.abs(v)) == 1.0

@@ -476,9 +476,9 @@ def test_twirl_consistency_refuses_no_operators():
 
 
 def test_report_dict_writes_a_non_finite_margin_as_null():
-    assert OracleReport("consistent").to_dict()["worst_margin"] is None
-    assert OracleReport("consistent", worst_margin=float("nan")).to_dict()["worst_margin"] is None
-    assert OracleReport("consistent", worst_margin=-0.25).to_dict()["worst_margin"] == -0.25
+    assert OracleReport().to_dict()["worst_margin"] is None
+    assert OracleReport(worst_margin=float("nan")).to_dict()["worst_margin"] is None
+    assert OracleReport(worst_margin=-0.25).to_dict()["worst_margin"] == -0.25
 
 
 def test_duality_spot_values():
