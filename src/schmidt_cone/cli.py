@@ -45,26 +45,18 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _emit_classification(args, head: dict, per_k) -> None:
-    per_k = [{"k": k, "status": v.status, "margin": _num(v.margin)} for k, v in enumerate(per_k, start=1)]
+def _cmd_classify(args) -> int:
+    x, y = (_parse_scalar(getattr(args, name), args.exact) for name in args.point)
+    head = dict(zip(args.point, (_num(x), _num(y))))
+    if args.command == "classify-map":
+        prof = classify.k_positivity_max(args.d, x, y, tol=args.tol)
+        head["max_k"] = prof.max_k
+    else:
+        prof = classify.schmidt_number(args.d, x, y, tol=args.tol)
+        head["schmidt_number"] = prof.schmidt_number if prof.is_state else "not_a_state"
+        head["boundary"] = prof.boundary
+    per_k = [{"k": k, "status": v.status, "margin": _num(v.margin)} for k, v in enumerate(prof.per_k, start=1)]
     _emit({"d": args.d, **head, "per_k": per_k, "mode": "exact" if args.exact else "float"})
-
-
-def _cmd_classify_map(args) -> int:
-    p = _parse_scalar(args.p, args.exact)
-    q = _parse_scalar(args.q, args.exact)
-    prof = classify.k_positivity_max(args.d, p, q, tol=args.tol)
-    _emit_classification(args, {"p": _num(p), "q": _num(q), "max_k": prof.max_k}, prof.per_k)
-    return 0
-
-
-def _cmd_classify_state(args) -> int:
-    a = _parse_scalar(args.a, args.exact)
-    b = _parse_scalar(args.b, args.exact)
-    cls = classify.schmidt_number(args.d, a, b, tol=args.tol)
-    sn = cls.schmidt_number if cls.is_state else "not_a_state"
-    head = {"a": _num(a), "b": _num(b), "schmidt_number": sn, "boundary": cls.boundary}
-    _emit_classification(args, head, cls.per_k)
     return 0
 
 
@@ -109,7 +101,16 @@ def _cmd_region(args) -> int:
     return 0
 
 
-_SUITES = ("tomiyama", "frames", "twirl", "witness", "duality")
+# suite name -> its run, given the oracles module and the parsed arguments
+_SUITES = {
+    "tomiyama": lambda o, a: o.grid_agreement(
+        a.d, grid_n=a.grid, n_random=a.frames, seed=a.seed, workers=a.workers
+    ),
+    "frames": lambda o, a: o.frame_minima_check(a.d, seed=a.seed),
+    "twirl": lambda o, a: o.twirl_consistency(a.d, n_samples=a.samples, seed=a.seed),
+    "witness": lambda o, a: o.witness_grid_check(a.d, grid_n=min(a.grid, 100)),
+    "duality": lambda o, a: o.duality_sanity(a.d, seed=a.seed),
+}
 
 
 def _cmd_verify(args) -> int:
@@ -117,26 +118,10 @@ def _cmd_verify(args) -> int:
 
     reports = {}
     for name in _SUITES if args.suite == "all" else [args.suite]:
-        if name == "tomiyama":
-            rep = oracles.grid_agreement(
-                args.d,
-                grid_n=args.grid,
-                n_random=args.frames,
-                seed=args.seed,
-                workers=args.workers,
-            )
-        elif name == "frames":
-            rep = oracles.frame_minima_check(args.d, seed=args.seed)
-        elif name == "twirl":
-            rep = oracles.twirl_consistency(args.d, n_samples=args.samples, seed=args.seed)
-        elif name == "witness":
-            rep = oracles.witness_grid_check(args.d, grid_n=min(args.grid, 100))
-        elif name == "duality":
-            if args.d > 4:
-                sys.stderr.write(f"skipping duality suite: d={args.d} above desk scale\n")
-                continue
-            rep = oracles.duality_sanity(args.d, seed=args.seed)
-        reports[name] = rep.to_dict()
+        if name == "duality" and args.d > 4:
+            sys.stderr.write(f"skipping duality suite: d={args.d} above desk scale\n")
+            continue
+        reports[name] = _SUITES[name](oracles, args).to_dict()
     if not reports:
         sys.stderr.write("error: every requested suite was skipped; nothing was verified\n")
         return 2
@@ -155,11 +140,10 @@ def _cmd_witness(args) -> int:
     hit = oracles.witness_violation_search(
         InvariantState(args.d, a, b), args.k, arc_samples=args.arc_samples
     )
-    if hit is None:
-        _emit({"found": False, "d": args.d, "a": a, "b": b, "k": args.k})
-    else:
-        p, q, val = hit
-        _emit({"found": True, "d": args.d, "a": a, "b": b, "k": args.k, "p": p, "q": q, "pairing": val})
+    payload = {"found": hit is not None, "d": args.d, "a": a, "b": b, "k": args.k}
+    if hit is not None:
+        payload.update(zip(("p", "q", "pairing"), hit))
+    _emit(payload)
     return 0
 
 
@@ -191,21 +175,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cm = sub.add_parser("classify-map", help="maximal k-positivity index of the map family")
-    cm.add_argument("--d", type=int, required=True)
-    cm.add_argument("--p", required=True)
-    cm.add_argument("--q", required=True)
-    cm.add_argument("--exact", action="store_true")
-    cm.add_argument("--tol", type=float, default=classify.BOUNDARY_TOL)
-    cm.set_defaults(func=_cmd_classify_map)
-
-    cs = sub.add_parser("classify-state", help="Schmidt number of the state family")
-    cs.add_argument("--d", type=int, required=True)
-    cs.add_argument("--a", required=True)
-    cs.add_argument("--b", required=True)
-    cs.add_argument("--exact", action="store_true")
-    cs.add_argument("--tol", type=float, default=classify.BOUNDARY_TOL)
-    cs.set_defaults(func=_cmd_classify_state)
+    for name, point, text in (
+        ("classify-map", "pq", "maximal k-positivity index of the map family"),
+        ("classify-state", "ab", "Schmidt number of the state family"),
+    ):
+        cl = sub.add_parser(name, help=text)
+        cl.add_argument("--d", type=int, required=True)
+        for flag in point:
+            cl.add_argument(f"--{flag}", required=True)
+        cl.add_argument("--exact", action="store_true")
+        cl.add_argument("--tol", type=float, default=classify.BOUNDARY_TOL)
+        cl.set_defaults(func=_cmd_classify, point=point)
 
     rg = sub.add_parser("region", help="emit a region boundary (json/csv/svg)")
     rg.add_argument("kind", choices=["map", "state"])

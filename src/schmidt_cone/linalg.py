@@ -1,4 +1,4 @@
-"""Dense Hermitian linear algebra: PSD tests, Schmidt coefficients, pairings.
+"""Dense Hermitian linear algebra: PSD tests, Schmidt coefficients, pairings, Haar QR.
 
 All operations are pure functions on numpy arrays and are safe for concurrent
 use.  Matrices at desk scale (side <= 64) only, so everything goes through
@@ -8,6 +8,8 @@ dense Hermitian solvers for deterministic results.
 from __future__ import annotations
 
 import numpy as np
+
+from .geometry import _check_finite
 
 __all__ = [
     "as_hermitian",
@@ -19,8 +21,15 @@ __all__ = [
 ]
 
 
+def _check_tolerances(*tols) -> None:
+    """Refuse a NaN, infinite, negative or bool tolerance, as the classifier does."""
+    _check_finite(*tols)
+    if min(tols) < 0:
+        raise ValueError(f"negative tolerance {min(tols)!r}")
+
+
 def as_hermitian(X, tol: float = 1e-12) -> np.ndarray:
-    """Validate that X is a square Hermitian matrix and return it as complex ndarray.
+    """Validate that X is a finite square Hermitian matrix and return it as complex ndarray.
 
     Hermiticity is checked against an absolute tolerance of
     ``tol * max(1, frobenius_norm)``.  Raises ValueError on violation.
@@ -28,6 +37,8 @@ def as_hermitian(X, tol: float = 1e-12) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("matrix has a non-finite entry")
     scale = max(1.0, float(np.linalg.norm(X)))
     dev = float(np.max(np.abs(X - X.conj().T)))
     if dev > tol * scale:
@@ -35,15 +46,32 @@ def as_hermitian(X, tol: float = 1e-12) -> np.ndarray:
     return X
 
 
+def _as_bipartite_hermitian(X) -> tuple[np.ndarray, int]:
+    """``as_hermitian(X)`` and its d, for X on C^d x C^d with d >= 2."""
+    X = as_hermitian(X)
+    d2 = X.shape[0]
+    d = round(np.sqrt(d2))
+    if d * d != d2 or d < 2:
+        raise ValueError(f"side {d2} is not d^2 for some d >= 2")
+    return X, d
+
+
+def _haar_qr(g: np.ndarray) -> np.ndarray:
+    """Q of each Gaussian g's QR times the conjugated phase of diag(R): Haar (Mezzadri 2007)."""
+    q, r = np.linalg.qr(g)
+    diag = np.einsum("...ii->...i", r)
+    return q * (diag / np.abs(diag)).conj()[..., None, :]
+
+
 def is_psd(H, tol: float = 1e-9) -> bool:
     """Whether a Hermitian matrix is positive semidefinite.
 
     True iff the minimal eigenvalue is >= -tol * max(1, spectral norm).  The
     tolerance is relative to the spectral norm so the test is scale-free;
-    points on region boundaries produce zero eigenvalues up to rounding.
+    points on region boundaries produce zero eigenvalues up to rounding.  A
+    NaN, infinite, negative or bool tol is refused.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_tolerances(tol)
     H = as_hermitian(H)
     w = np.linalg.eigvalsh(H)
     scale = max(1.0, float(np.max(np.abs(w))))

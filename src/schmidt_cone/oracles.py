@@ -27,8 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .classify import _check_finite, is_k_positive, kpos_margin_grid, schmidt_margin_grid
-from .geometry import _is_exact, _traversal_points, map_region_boundary, state_region_vertices
-from .linalg import as_hermitian
+from .geometry import _is_exact, _traversal_points, map_region_boundary, region_case, state_region_vertices
+from .linalg import _as_bipartite_hermitian, _check_tolerances, _haar_qr
 from .symmetry import CovariantMap, InvariantState, twirl_exact, twirl_monte_carlo
 
 __all__ = [
@@ -132,10 +132,7 @@ def random_frames(d: int, k: int, n: int, rng: np.random.Generator) -> np.ndarra
     from the diagonal of R, gives the first k columns of that unitary.
     """
     g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-    q, r = np.linalg.qr(g[:, :, :k])
-    diag = np.einsum("nii->ni", r)
-    phase = diag / np.abs(diag)
-    return q * phase.conj()[:, None, :]
+    return _haar_qr(g[:, :, :k])
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +178,6 @@ def _compressions(M: np.ndarray, F: np.ndarray, V: np.ndarray, p, q, d: int) -> 
     diag += ((1.0 - p - q) / d).reshape(p.shape + (1, 1))
     M += F
     return M
-
-
-def _check_tolerances(*tols) -> None:
-    """Refuse a NaN, infinite, negative or bool tolerance, as the classifier does."""
-    _check_finite(*tols)
-    if min(tols) < 0:
-        raise ValueError(f"negative tolerance {min(tols)!r}")
 
 
 def _relative_min_eig(Ms: np.ndarray) -> np.ndarray:
@@ -239,13 +229,15 @@ def tomiyama_check(
     the first violating frame: an explicit one by name, counting the frames up
     to it as ``samples``, or a random one by index, counting all.
     ``worst_margin`` is the smallest relative minimal eigenvalue over the
-    counted frames.  A NaN, infinite or negative tol is refused, as is a
-    negative n_random; n_random = 0 tests the explicit frames alone.
+    counted frames.  A NaN, infinite or negative tol is refused, as are a
+    negative n_random and a k outside 1..d; n_random = 0 tests the explicit
+    frames alone.
     """
     _check_tolerances(tol)
     if n_random < 0:
         raise ValueError(f"n_random must be >= 0, got {n_random}")
-    m = CovariantMap(d, float(p), float(q))  # refuses d < 2
+    region_case(d, k)
+    m = CovariantMap(d, float(p), float(q))  # refuses a NaN or infinite point
     expl = explicit_frames(d, k)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d, k)))
     V = np.concatenate([[fr.vectors for _, fr in expl], random_frames(d, k, n_random, rng)])
@@ -271,8 +263,7 @@ def tomiyama_check(
 
 def frame_overlap(fr: Frame) -> float:
     """sum_{j,j'} |<v_j | conj(v_j')>|^2, the conjugate-overlap functional."""
-    t = fr.vectors.T @ fr.vectors
-    return float(np.sum(np.abs(t) ** 2))
+    return float(_overlaps(fr.vectors[None])[0])
 
 
 def fourier_overlap_exact(d: int, k: int) -> int:
@@ -478,13 +469,11 @@ def block_positivity_falsifier(
 
     Alternating minimization: with one factor set fixed, the optimal other
     factor set solves a generalized Hermitian eigenproblem.  Heuristic: only
-    a returned violator is load-bearing; None proves nothing.
+    a returned violator is load-bearing; None proves nothing.  X must be
+    Hermitian on C^d x C^d with d >= 2, and k in 1..d.
     """
-    X = as_hermitian(X)
-    dim = X.shape[0]
-    d = round(np.sqrt(dim))
-    if d * d != dim:
-        raise ValueError(f"side {dim} is not a perfect square")
+    X, d = _as_bipartite_hermitian(X)
+    region_case(d, k)
     scale = max(1.0, float(np.linalg.norm(X, 2)))
     X4 = np.asarray(X).reshape(d, d, d, d)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(97,)))
@@ -662,7 +651,8 @@ def grid_agreement(
     Exterior violations found only by random frames are counted as findings,
     not disagreements.  The explicit frames are assembled once per row, the
     random ones into a per-task workspace, both by _compressions.  grid_n,
-    n_random and workers must be at least 1; band and tol finite and >= 0.
+    n_random and workers must be at least 1; band and tol finite and >= 0;
+    box finite.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
@@ -673,6 +663,7 @@ def grid_agreement(
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     _check_tolerances(band, tol)
+    _check_finite(*box)
     chunk = 10
     tasks = []
     for k in range(1, d + 1):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_hermitian, flip, max_entangled
+from .geometry import _check_finite, region_case
+from .linalg import _as_bipartite_hermitian, _haar_qr, flip, max_entangled
 
 __all__ = [
     "CovariantMap",
@@ -48,8 +49,8 @@ class CovariantMap:
     q: object
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
+        region_case(self.d, 1)  # refuses d < 2 and a d that is not an integer
+        _check_finite(self.p, self.q)
 
     def apply(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
@@ -75,8 +76,8 @@ class InvariantState:
     b: object
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
+        region_case(self.d, 1)
+        _check_finite(self.a, self.b)
 
     def matrix(self) -> np.ndarray:
         d = self.d
@@ -132,11 +133,7 @@ def twirl_exact(X) -> InvariantCoordinates:
     Solves the 3x3 Gram system with right-hand side Tr(G_i X); this equals the
     Haar average of (O x O) X (O x O)^T.
     """
-    X = as_hermitian(X)
-    d2 = X.shape[0]
-    d = round(np.sqrt(d2))
-    if d * d != d2 or d < 2:
-        raise ValueError(f"side {d2} is not d^2 for some d >= 2")
+    X, d = _as_bipartite_hermitian(X)
     gram = commutant_gram(d)
     # det = (d^2-d)^2 (d^2+2d) > 0 for d >= 2
     if not np.linalg.det(gram) > 0.0:
@@ -154,11 +151,7 @@ def haar_orthogonal_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarra
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    g = rng.standard_normal((n, d, d))
-    q, r = np.linalg.qr(g)
-    s = np.sign(np.einsum("nii->ni", r))
-    s[s == 0] = 1.0
-    return q * s[:, None, :]
+    return _haar_qr(rng.standard_normal((n, d, d)))
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -180,11 +173,8 @@ def twirl_monte_carlo(X, n_samples: int, seed: int = 0) -> np.ndarray:
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    X = as_hermitian(X)
-    d2 = X.shape[0]
-    d = round(np.sqrt(d2))
-    if d * d != d2:
-        raise ValueError(f"side {d2} is not a perfect square")
+    X, d = _as_bipartite_hermitian(X)
+    d2 = d * d
     parts = np.concatenate([X.real, X.imag])  # (2 d^2, d^2)
     total = np.zeros((2, d2, d2))
     done = 0

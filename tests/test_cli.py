@@ -156,6 +156,17 @@ def test_cli_byte_identical_across_runs(capsys):
     assert w1 == w2
 
 
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+@pytest.mark.parametrize(
+    "command, x, y",
+    [("classify-map", ("--p", "1/3"), ("--q", "-1/11")), ("classify-state", ("--a", "0.3"), ("--b", "-1/7"))],
+)
+def test_classify_answers_the_same_bytes_whatever_the_flag_order(capsys, command, x, y, exact):
+    usual = run_cli(capsys, command, "--d", "5", *x, *y, *exact)
+    assert usual[0] == 0
+    assert run_cli(capsys, command, *exact, *y, *x, "--d", "5") == usual
+
+
 def test_conic_remark_classifications(capsys):
     _, out = run_cli(capsys, "conic", "--d", "5", "--k", "3")
     assert json.loads(out)["classification"] == "hyperbola"

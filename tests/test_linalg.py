@@ -8,6 +8,8 @@ from schmidt_cone.linalg import (
     pairing,
     schmidt_spectrum,
 )
+from schmidt_cone.oracles import block_positivity_falsifier
+from schmidt_cone.symmetry import twirl_exact, twirl_monte_carlo
 
 
 def test_is_psd_identity():
@@ -138,3 +140,29 @@ def test_kron_index_convention():
     v = np.kron(a, b)
     assert v[1 * 3 + 2] == 1.0
     assert np.sum(np.abs(v)) == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        is_psd,
+        lambda X: pairing(X, np.eye(4)),
+        twirl_exact,
+        lambda X: twirl_monte_carlo(X, 10),
+        lambda X: block_positivity_falsifier(X, 1),
+    ],
+    ids=["is_psd", "pairing", "twirl_exact", "twirl_monte_carlo", "falsifier"],
+)
+def test_a_matrix_with_a_non_finite_entry_is_refused(call, bad):
+    # a NaN diagonal entry used to read as PSD, pair to NaN and twirl to NaN
+    X = np.eye(4, dtype=complex)
+    X[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        call(X)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, True, np.float32("nan"), np.bool_(True)])
+def test_is_psd_refuses_a_nan_infinite_or_bool_tolerance(tol):
+    with pytest.raises(ValueError, match="input"):
+        is_psd(np.eye(2), tol=tol)

@@ -648,3 +648,22 @@ def test_witness_search_matches_classifier_spotwise():
                 continue
             hit = witness_violation_search(state, k, arc_samples=64, threshold=-1e-9)
             assert (hit is not None) == (margin < 0)
+
+
+@pytest.mark.parametrize(
+    "call, err",
+    [
+        (lambda: grid_agreement(3, grid_n=3, n_random=1, box=(float("nan"), 1.0), workers=1), "non-finite"),
+        (lambda: grid_agreement(3, grid_n=3, n_random=1, box=(-0.5, np.inf), workers=1), "non-finite"),
+        (lambda: tomiyama_check(3, float("nan"), 0.1, 2), "non-finite"),
+        (lambda: tomiyama_check(3, 0.2, 0.1, 0), "k=0"),
+        (lambda: tomiyama_check(3, 0.2, 0.1, 4), "k=4"),
+        (lambda: block_positivity_falsifier(np.eye(9), 0), "k=0"),
+        (lambda: block_positivity_falsifier(np.eye(9), 4), "k=4"),
+    ],
+    ids=["box-nan", "box-inf", "tomiyama-nan", "tomiyama-k0", "tomiyama-k4", "falsifier-k0", "falsifier-k4"],
+)
+def test_an_oracle_refuses_a_non_finite_box_or_point_and_a_k_outside_1_to_d(call, err):
+    # a NaN box used to give a consistent report, and k = 0 an IndexError
+    with pytest.raises(ValueError, match=err):
+        call()

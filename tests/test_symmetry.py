@@ -243,3 +243,24 @@ def test_twirl_monte_carlo_matches_a_per_sample_sum(d, n_samples):
 def test_monte_carlo_rejects_bad_sample_count():
     with pytest.raises(ValueError):
         twirl_monte_carlo(np.eye(4), 0)
+
+
+@pytest.mark.parametrize("family", [CovariantMap, InvariantState])
+@pytest.mark.parametrize(
+    "d, x, y, err",
+    [
+        (4, np.nan, 0.0, "non-finite"),
+        (4, 0.1, np.inf, "non-finite"),
+        (4, -np.inf, 0.1, "non-finite"),
+        (4, 0.1, np.float32("nan"), "non-finite"),
+        (4, True, 0.1, "boolean"),
+        (4, 0.1, np.bool_(False), "boolean"),
+        (2.5, 0.1, 0.1, "integer"),
+        (np.float64(3.0), 0.1, 0.1, "integer"),
+    ],
+)
+def test_the_families_refuse_a_non_finite_or_bool_point_and_a_non_integer_d(family, d, x, y, err):
+    # a NaN state used to pass the witness search as "no violation"
+    with pytest.raises(ValueError, match=err):
+        family(d, x, y)
+    assert family(np.int64(3), np.float32(0.1), 1).d == 3  # numpy scalars stay accepted
