@@ -57,10 +57,20 @@ def _as_bipartite_hermitian(X) -> tuple[np.ndarray, int]:
 
 
 def _haar_qr(g: np.ndarray) -> np.ndarray:
-    """Q of each Gaussian g's QR times the conjugated phase of diag(R): Haar (Mezzadri 2007)."""
-    q, r = np.linalg.qr(g)
-    diag = np.einsum("...ii->...i", r)
-    return q * (diag / np.abs(diag)).conj()[..., None, :]
+    """Q of each (d, k) Gaussian g, with diag(R) > 0: the Haar QR factor (Mezzadri 2007).
+
+    Batched classical Gram-Schmidt, each projection taken twice ("twice is
+    enough": Giraud, Langou and Rozloznik 2005).  Column j reads only columns
+    1..j of g, and a real g gives a real Q.
+    """
+    q = g.swapaxes(-1, -2).copy()  # row j of q is column j of g
+    for j in range(q.shape[-2]):
+        v, P = q[..., j, :], q[..., :j, :]
+        if j:
+            for _ in range(2):
+                v -= np.einsum("...ji,...j->...i", P, np.einsum("...ji,...i->...j", P.conj(), v))
+        v /= np.sqrt(np.einsum("...i,...i->...", v.conj(), v).real)[..., None]
+    return np.ascontiguousarray(q.swapaxes(-1, -2))
 
 
 def is_psd(H, tol: float = 1e-9) -> bool:
@@ -83,14 +93,16 @@ def schmidt_spectrum(vec, dim_a: int, dim_b: int, tol: float = 1e-12) -> np.ndar
 
     The vector of length ``dim_a * dim_b`` is reshaped row-major to a
     dim_a x dim_b matrix (index (i, j) -> i * dim_b + j, matching ``np.kron``)
-    and its singular values above ``tol`` are returned.  The Schmidt rank is
-    the length of the result; a zero vector yields an empty spectrum.
+    and its singular values above ``tol``, as many as the Schmidt rank, are
+    returned (none for a zero vector).  A non-finite entry is refused.
     """
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     if dim_a <= 0 or dim_b <= 0:
         raise ValueError("dimensions must be positive")
     if vec.size != dim_a * dim_b:
         raise ValueError(f"vector length {vec.size} != {dim_a}*{dim_b}")
+    if not np.isfinite(vec).all():
+        raise ValueError("vector has a non-finite entry")
     sv = np.linalg.svd(vec.reshape(dim_a, dim_b), compute_uv=False)
     return sv[sv > tol]
 

@@ -127,9 +127,9 @@ def random_frames(d: int, k: int, n: int, rng: np.random.Generator) -> np.ndarra
     """n Haar-random frames as an (n, d, k) array (first k columns of unitaries).
 
     Draws the (n, d, d) complex Gaussian of a Haar unitary (Mezzadri 2007) but
-    QR-factors only its first k columns: the Householder reflectors past the
-    k-th leave those columns alone, so the thin QR, with the same phase fix
-    from the diagonal of R, gives the first k columns of that unitary.
+    orthonormalises only its first k columns: in the Gram-Schmidt kernel
+    (linalg._haar_qr) column j reads only columns 1..j, so these are the first
+    k columns of that unitary.
     """
     g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
     return _haar_qr(g[:, :, :k])
@@ -445,13 +445,18 @@ def witness_violation_search(
 
 
 def _min_generalized_eig(M: np.ndarray, F: np.ndarray) -> tuple[float, np.ndarray]:
-    """Least eigenvalue of M, hermitized, against kron(F^H F, I), with its d x k factors."""
+    """Least eigenvalue of M, hermitized, against kron(F^H F, I_d), with its d x k factors.
+
+    The metric's eigenvectors are u (x) e_a for the eigenpairs (w, u) of the k x k
+    F^H F, so its whitening is W = (U / sqrt(w)) (x) I_d over the w > 1e-12 w_max.
+    """
     d, k = F.shape
     M = M.reshape(k * d, k * d)
     M = (M + M.conj().T) / 2
-    w, U = np.linalg.eigh(np.kron(F.conj().T @ F, np.eye(d)))
+    w, U = np.linalg.eigh(F.conj().T @ F)
     keep = w > 1e-12 * max(float(w[-1]), 1e-300)
-    W = U[:, keep] / np.sqrt(w[keep])
+    U = U[:, keep] / np.sqrt(w[keep])
+    W = (U[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(k * d, -1)
     M2 = W.conj().T @ M @ W
     M2 = (M2 + M2.conj().T) / 2
     vals, vecs = np.linalg.eigh(M2)
@@ -557,7 +562,7 @@ def duality_sanity(d: int, samples: int = 1000, seed: int = 0) -> OracleReport:
             for t in range(4):
                 u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
                 v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                uv = np.kron(u / np.linalg.norm(u), v / np.linalg.norm(v))
+                uv = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v)).ravel()
                 X += w[t] * np.outer(uv, uv.conj())
             pair, k = "EB-vs-positive", 1
         else:
@@ -710,10 +715,11 @@ def witness_grid_check(
     """Witness search finds a violation iff the classifier says SN > k.
 
     Runs over a grid inside the PSD triangle, all k, excluding a band around
-    each region boundary.  grid_n must be at least 1.
+    each region boundary.  grid_n must be at least 1, and band finite and >= 0.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
+    _check_tolerances(band)
     verts = np.asarray(state_region_vertices(d, d, exact=False))
     a_axis = np.linspace(verts[:, 0].min(), verts[:, 0].max(), grid_n)
     b_axis = np.linspace(verts[:, 1].min(), verts[:, 1].max(), grid_n)
@@ -770,7 +776,8 @@ def twirl_consistency(
     seed: int = 0,
     tol: float = 1e-2,
 ) -> OracleReport:
-    """Monte-Carlo twirl vs exact projection on random unit-norm Hermitian inputs."""
+    """Monte-Carlo twirl vs exact projection on random unit-norm Hermitian inputs; tol finite, >= 0."""
+    _check_tolerances(tol)
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7, d)))

@@ -145,10 +145,7 @@ def twirl_exact(X) -> InvariantCoordinates:
 
 
 def haar_orthogonal_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar-distributed real orthogonal d x d matrices, shape (n, d, d).
-
-    QR of a standard Gaussian matrix with the R-diagonal sign correction.
-    """
+    """n Haar-random real orthogonal d x d matrices, (n, d, d): _haar_qr of a Gaussian stack."""
     if d < 1:
         raise ValueError("d must be >= 1")
     return _haar_qr(rng.standard_normal((n, d, d)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from schmidt_cone.linalg import (
+    _haar_qr,
     flip,
     is_psd,
     max_entangled,
@@ -72,6 +73,41 @@ def test_schmidt_spectrum_zero_vector():
 def test_schmidt_spectrum_dimension_mismatch():
     with pytest.raises(ValueError):
         schmidt_spectrum(np.zeros(5), 2, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_schmidt_spectrum_refuses_a_non_finite_entry(bad):
+    # a NaN entry used to end in numpy's "SVD did not converge"
+    v = np.array([bad, 0, 0, 1.0], dtype=complex)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        schmidt_spectrum(v, 2, 2)
+
+
+def _lapack_haar_qr(g):
+    """The QR-plus-phase route: Q of np.linalg.qr times the conjugated phase of diag(R)."""
+    q, r = np.linalg.qr(g)
+    diag = np.einsum("...ii->...i", r)
+    return q * (diag / np.abs(diag)).conj()[..., None, :]
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_haar_qr_is_the_phase_fixed_qr_factor(complex_):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for d in range(1, 9):
+            for k in range(1, d + 1):
+                g = rng.standard_normal((20, d, k))
+                if complex_:
+                    g = g + 1j * rng.standard_normal((20, d, k))
+                Q = _haar_qr(g)
+                assert Q.shape == g.shape and Q.dtype == g.dtype
+                assert np.max(np.abs(Q - _lapack_haar_qr(g))) <= 1e-12
+                QhQ = Q.conj().swapaxes(-1, -2) @ Q
+                assert np.max(np.abs(QhQ - np.eye(k))) <= 1e-14
+                R = Q.conj().swapaxes(-1, -2) @ g
+                assert np.max(np.abs(np.tril(R, -1))) <= 1e-12
+                diag = np.einsum("nii->ni", R)
+                assert np.max(np.abs(diag.imag)) <= 1e-12 and np.all(diag.real > 0)
 
 
 def test_pairing_identity():

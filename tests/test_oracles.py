@@ -35,6 +35,7 @@ from schmidt_cone.oracles import (
     _all_psd_fast,
     _compressions,
     _grid_task,
+    _min_generalized_eig,
     _overlap_gradient,
     _relative_min_eig,
 )
@@ -446,6 +447,38 @@ def test_falsifier_finds_violator_outside_p2():
     assert found >= 19  # >= 95% success over seeds
 
 
+def _kron_metric_min_eig(M, F):
+    """The generalized eigenproblem against the kd x kd metric kron(F^H F, I_d), literally."""
+    d, k = F.shape
+    M = M.reshape(k * d, k * d)
+    M = (M + M.conj().T) / 2
+    w, U = np.linalg.eigh(np.kron(F.conj().T @ F, np.eye(d)))
+    keep = w > 1e-12 * max(float(w[-1]), 1e-300)
+    W = U[:, keep] / np.sqrt(w[keep])
+    M2 = W.conj().T @ M @ W
+    vals, vecs = np.linalg.eigh((M2 + M2.conj().T) / 2)
+    return float(vals[0]), (W @ vecs[:, 0]).reshape(k, d).T
+
+
+@pytest.mark.parametrize("rank_deficient", [False, True])
+def test_min_generalized_eig_matches_the_kron_metric(rank_deficient):
+    rng = np.random.default_rng(23)
+    for d in (2, 3, 4):
+        for k in range(1, d + 1):
+            for _ in range(5):
+                M = rng.standard_normal((k, d, k, d)) + 1j * rng.standard_normal((k, d, k, d))
+                F = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+                if rank_deficient and k > 1:
+                    F[:, -1] = F[:, 0]  # F^H F singular: one eigenvalue is dropped
+                val, A = _min_generalized_eig(M, F)
+                ref_val, ref_A = _kron_metric_min_eig(M, F)
+                assert abs(val - ref_val) <= 1e-10
+                # the same factors, up to one global phase
+                overlap = np.vdot(ref_A, A)
+                assert abs(abs(overlap) - np.linalg.norm(A) * np.linalg.norm(ref_A)) <= 1e-10
+                assert np.max(np.abs(A - ref_A * overlap / abs(overlap))) <= 1e-10
+
+
 def test_falsifier_interior_point_clean():
     d, k = 3, 2
     pt = (0.2, 0.1)
@@ -473,6 +506,21 @@ def test_duality_sanity_refuses_fewer_than_two_samples(samples):
 def test_twirl_consistency_refuses_no_operators():
     with pytest.raises(ValueError):
         twirl_consistency(3, n_ops=0, n_samples=10)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12, True])
+def test_twirl_consistency_refuses_a_bad_tolerance(tol):
+    # with tol = nan no error is above it, so the run used to read consistent
+    with pytest.raises(ValueError):
+        twirl_consistency(2, n_ops=1, n_samples=10, tol=tol)
+
+
+@pytest.mark.parametrize("band", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12, True])
+def test_witness_grid_check_refuses_a_bad_band(band):
+    # a NaN band used to drop every point and read consistent with 0 samples,
+    # and a negative one kept the boundary points
+    with pytest.raises(ValueError):
+        witness_grid_check(4, grid_n=20, band=band)
 
 
 def test_report_dict_writes_a_non_finite_margin_as_null():
