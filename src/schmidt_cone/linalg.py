@@ -130,8 +130,5 @@ def flip(d: int) -> np.ndarray:
     """The flip (swap) operator F = sum_ij |ij><ji| on C^d x C^d."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    F = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            F[i * d + j, j * d + i] = 1.0
-    return F
+    # row (i, j) of F is row (j, i) of the identity
+    return np.eye(d * d).reshape(d, d, d * d).swapaxes(0, 1).reshape(d * d, d * d)

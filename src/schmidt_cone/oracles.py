@@ -29,7 +29,7 @@ import numpy as np
 from .classify import _check_finite, is_k_positive, kpos_margin_grid, schmidt_margin_grid
 from .geometry import _is_exact, _traversal_points, map_region_boundary, region_case, state_region_vertices
 from .linalg import _as_bipartite_hermitian, _check_tolerances, _haar_qr
-from .symmetry import CovariantMap, InvariantState, twirl_exact, twirl_monte_carlo
+from .symmetry import CovariantMap, InvariantState, apply_channel_right, twirl_exact, twirl_monte_carlo
 
 __all__ = [
     "Frame",
@@ -141,19 +141,14 @@ def random_frames(d: int, k: int, n: int, rng: np.random.Generator) -> np.ndarra
 
 
 def tomiyama_matrix(m: CovariantMap, fr: Frame) -> np.ndarray:
-    """The compression sum_{i,j<=k} |i><j| x map(|v_i><v_j|), a kd x kd matrix.
+    """The compression sum_{i,j<=k} |i><j| x map(|v_i><v_j|) = (id_k x map)(|v><v|), kd x kd.
 
-    The map is k-positive iff this is PSD for every orthonormal k-frame.
+    The map is k-positive iff this is PSD for every orthonormal k-frame (Tomiyama 1985).
     """
     if fr.d != m.d:
         raise ValueError(f"dimension mismatch: frame d={fr.d}, map d={m.d}")
-    k, d = fr.k, fr.d
-    out = np.zeros((k * d, k * d), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            blk = m.apply(np.outer(fr.vectors[:, i], fr.vectors[:, j].conj()))
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = blk
-    return out
+    v = fr.vectors.T.reshape(-1)  # entry (i, a) is v_i[a]
+    return apply_channel_right(m, np.outer(v, v.conj()))
 
 
 def _compressions(M: np.ndarray, F: np.ndarray, V: np.ndarray, p, q, d: int) -> np.ndarray:
@@ -291,11 +286,6 @@ def _overlap_gradient(V: np.ndarray) -> np.ndarray:
     return 4.0 * V.conj() @ (V.swapaxes(-1, -2) @ V)
 
 
-def _reorthonormalize(V: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(V)
-    return q
-
-
 def frame_overlap_minimize(
     d: int,
     k: int,
@@ -327,7 +317,7 @@ def frame_overlap_minimize(
         return best_val, best_frame
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d, k)))
     g = rng.standard_normal((restarts, 2, d, k))  # restart by restart: real, then imaginary
-    V = _reorthonormalize(g[:, 0] + 1j * g[:, 1])
+    V = np.linalg.qr(g[:, 0] + 1j * g[:, 1])[0]
     val = _overlaps(V)
     step = np.full(restarts, 0.05)
     live = np.arange(restarts)
@@ -335,7 +325,7 @@ def frame_overlap_minimize(
         if live.size == 0:
             break
         W, s = V[live], step[live]
-        cand = _reorthonormalize(W - s[:, None, None] * _overlap_gradient(W))
+        cand = np.linalg.qr(W - s[:, None, None] * _overlap_gradient(W))[0]
         cand_val = _overlaps(cand)
         better = cand_val < val[live]
         V[live[better]] = cand[better]
@@ -345,7 +335,7 @@ def frame_overlap_minimize(
         live = live[better | (s >= 1e-12)]
     r = int(np.argmin(val))
     if val[r] < best_val:
-        best_val, best_frame = float(val[r]), Frame(d, k, _reorthonormalize(V[r]))
+        best_val, best_frame = float(val[r]), Frame(d, k, np.linalg.qr(V[r])[0])
     return best_val, best_frame
 
 
@@ -362,8 +352,6 @@ def block_conditions(d: int, p, q, k: int, xi1sq) -> bool:
     value s = xi1sq.  k-positivity (1 < k < d) is equivalent to these holding
     at s in {1, max(2k-d, 0)/k}.
     """
-    if not 0 <= xi1sq <= 1:
-        raise ValueError("xi1sq must lie in [0, 1]")
     return all(c >= 0 for c in _block_checks(d, p, q, k, xi1sq))
 
 
@@ -376,6 +364,9 @@ def block_conditions_grid(d: int, P, Q, k: int, xi1sq: float) -> np.ndarray:
 
 def _block_checks(d: int, p, q, k: int, xi1sq) -> tuple:
     """The six block-condition values; exact for int/Fraction, elementwise on arrays."""
+    _check_finite(xi1sq)
+    if not 0 <= xi1sq <= 1:
+        raise ValueError("xi1sq must lie in [0, 1]")
     A = Fraction(1 - p - q, d) if _is_exact(p, q, xi1sq) else (1 - p - q) / d
     pk = p * k
     return (
@@ -429,8 +420,13 @@ def witness_violation_search(
     """Most negative extreme-witness pairing below threshold, or None.
 
     A returned (p, q, value) certifies Schmidt number > k; absence of a
-    violation is evidence of membership at the sampled resolution.
+    violation is evidence of membership at the sampled resolution.  A NaN,
+    infinite or bool threshold is refused, as is one above 0, where a
+    pairing >= 0 would certify nothing.
     """
+    _check_finite(threshold)
+    if threshold > 0:
+        raise ValueError(f"threshold must be <= 0, got {threshold!r}")
     pts = np.asarray(witness_points(s.d, k, arc_samples), dtype=float)
     vals = _witness_form(s.d, float(s.a), float(s.b), pts[:, 0], pts[:, 1])
     i = int(np.argmin(vals))
@@ -475,8 +471,9 @@ def block_positivity_falsifier(
     Alternating minimization: with one factor set fixed, the optimal other
     factor set solves a generalized Hermitian eigenproblem.  Heuristic: only
     a returned violator is load-bearing; None proves nothing.  X must be
-    Hermitian on C^d x C^d with d >= 2, and k in 1..d.
+    Hermitian on C^d x C^d with d >= 2, k in 1..d and tol finite and >= 0.
     """
+    _check_tolerances(tol)
     X, d = _as_bipartite_hermitian(X)
     region_case(d, k)
     scale = max(1.0, float(np.linalg.norm(X, 2)))
@@ -536,8 +533,7 @@ def duality_sanity(d: int, samples: int = 1000, seed: int = 0) -> OracleReport:
     projectors) paired against classifier-certified positive maps, and random
     CP Choi matrices against classifier-certified CP maps, must pair >= 0.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    region_case(d, 1)  # refuses d < 2 and a d that is not an integer
     if d > 4:
         raise ValueError("duality sanity is desk-scale only (d <= 4)")
     if samples < 2:
@@ -657,8 +653,9 @@ def grid_agreement(
     not disagreements.  The explicit frames are assembled once per row, the
     random ones into a per-task workspace, both by _compressions.  grid_n,
     n_random and workers must be at least 1; band and tol finite and >= 0;
-    box finite.
+    box finite.  d must be an integer >= 2.
     """
+    region_case(d, 1)
     if grid_n < 1:
         raise ValueError(f"grid_n must be >= 1, got {grid_n}")
     if n_random < 1:
@@ -751,8 +748,7 @@ def witness_grid_check(
 
 def frame_minima_check(d: int, restarts: int = 50, iters: int = 150, seed: int = 0) -> OracleReport:
     """Explicit frames attain max(2k-d, 0); optimization never beats the floor."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    region_case(d, 1)
     failures = []
     minima = {}
     for k in range(1, d + 1):
@@ -777,6 +773,7 @@ def twirl_consistency(
     tol: float = 1e-2,
 ) -> OracleReport:
     """Monte-Carlo twirl vs exact projection on random unit-norm Hermitian inputs; tol finite, >= 0."""
+    region_case(d, 1)
     _check_tolerances(tol)
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")

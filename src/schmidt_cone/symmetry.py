@@ -179,11 +179,9 @@ def twirl_monte_carlo(X, n_samples: int, seed: int = 0) -> np.ndarray:
     while done < n_samples:
         m = min(MC_CHUNK, n_samples - done)
         O = haar_orthogonal_batch(d, m, _chunk_rng(seed, chunk_index))
-        # K[i, (a, b), (c, e)] = O_i[a, c] O_i[b, e]
+        # K[i, (a, b), (c, e)] = O_i[a, c] O_i[b, e], and L is K with the sample index i last
         K = (O[:, :, None, :, None] * O[:, None, :, None, :]).reshape(m * d2, d2)
-        # L[(a, b), (c, e), i] = K_i[(a, b), (c, e)]
-        Ot = np.ascontiguousarray(O.transpose(1, 2, 0))
-        L = (Ot[:, None, :, None] * Ot[None, :, None, :]).reshape(d2, d2 * m)
+        L = np.ascontiguousarray(K.reshape(m, d2, d2).transpose(1, 2, 0)).reshape(d2, d2 * m)
         XKt = parts @ K.T  # [(part, row), (i, col)] = (X_part K_i^T)[row, col]
         total += np.matmul(L, XKt.reshape(2, d2 * m, d2))
         done += m
@@ -192,14 +190,15 @@ def twirl_monte_carlo(X, n_samples: int, seed: int = 0) -> np.ndarray:
 
 
 def apply_channel_right(m: CovariantMap, X) -> np.ndarray:
-    """(id x map)(X) for a bipartite operator X on C^d x C^d, applied blockwise."""
+    """(id_n x map)(X) for X on C^n x C^d, block by block: the Choi matrix at n = d."""
     X = np.asarray(X, dtype=complex)
     d = m.d
-    if X.shape != (d * d, d * d):
-        raise ValueError(f"expected a {d*d}x{d*d} matrix, got {X.shape}")
+    if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] % d:
+        raise ValueError(f"expected an nd x nd matrix with d={d}, got {X.shape}")
     out = np.zeros_like(X)
-    for i in range(d):
-        for j in range(d):
+    n = X.shape[0] // d
+    for i in range(n):
+        for j in range(n):
             blk = X[i * d : (i + 1) * d, j * d : (j + 1) * d]
             out[i * d : (i + 1) * d, j * d : (j + 1) * d] = m.apply(blk)
     return out

@@ -95,3 +95,19 @@ def test_the_bench_reads_conic_coefficients_and_the_shared_classifier():
     assert conic.coefficients() == tuple(conic)
     # the tracer patches is_k_positive in every module that holds it
     assert oracles.is_k_positive is classify.is_k_positive
+
+
+def test_every_traced_numpy_kernel_is_still_called_by_the_package():
+    # the bench wraps np.linalg.<name> for each kernel and requires a count > 0
+    # from each, so moving the last caller onto another kernel breaks it
+    src = Path(_module("linalg").__file__).resolve().parent
+    called = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            f = getattr(node, "func", None)
+            if (isinstance(node, ast.Call) and isinstance(f, ast.Attribute)
+                    and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg"
+                    and isinstance(f.value.value, ast.Name) and f.value.value.id == "np"):
+                called.add(f.attr)
+    kernels = _literal("tracing.py", "_KERNELS")
+    assert kernels and not set(kernels) - called

@@ -320,6 +320,10 @@ def test_bad_tolerance_is_a_usage_error(capsys, argv, err):
                      "error: grid_n must be >= 1, got 0\n", id="tomiyama-no-grid"),
         pytest.param(["verify", "--suite", "witness", "--d", "3", "--grid", "0"],
                      "error: grid_n must be >= 1, got 0\n", id="witness-no-grid"),
+        pytest.param(["verify", "--suite", "tomiyama", "--d", "0", "--grid", "3", "--frames", "2", "--workers", "1"],
+                     "error: d must be >= 2\n", id="tomiyama-d0"),
+        pytest.param(["verify", "--suite", "tomiyama", "--d", "-3", "--grid", "3", "--frames", "2", "--workers", "1"],
+                     "error: d must be >= 2\n", id="tomiyama-d-negative"),
     ],
 )
 def test_vacuous_verification_is_a_usage_error(capsys, argv, err):

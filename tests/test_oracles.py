@@ -19,6 +19,7 @@ from schmidt_cone.oracles import (
     explicit_overlap_minimum,
     fourier_frame,
     fourier_overlap_exact,
+    frame_minima_check,
     frame_overlap,
     frame_overlap_minimize,
     grid_agreement,
@@ -552,6 +553,25 @@ def test_grid_agreement_refuses_a_vacuous_run(kwargs):
         grid_agreement(3, **{"grid_n": 5, "n_random": 5, "workers": 1, **kwargs})
 
 
+@pytest.mark.parametrize("d", [0, -3, 2.5, 3.0, True, False])
+@pytest.mark.parametrize(
+    "suite",
+    [
+        lambda d: grid_agreement(d, grid_n=3, n_random=2, workers=1),
+        lambda d: duality_sanity(d, samples=2),
+        lambda d: frame_minima_check(d, restarts=1, iters=1),
+        lambda d: twirl_consistency(d, n_ops=1, n_samples=10),
+    ],
+    ids=["grid", "duality", "frame-minima", "twirl"],
+)
+def test_a_suite_refuses_every_d_that_region_case_refuses(suite, d):
+    # the grid used to run no k at all for d <= 0 and report a consistent
+    # run of 0 samples; a float d used to raise TypeError, and the twirl
+    # named numpy's failure for d <= 0
+    with pytest.raises(ValueError, match="d must be|integer"):
+        suite(d)
+
+
 @pytest.mark.parametrize("grid_n", [0, -1])
 def test_witness_grid_check_refuses_an_empty_grid(grid_n):
     with pytest.raises(ValueError):
@@ -715,3 +735,32 @@ def test_an_oracle_refuses_a_non_finite_box_or_point_and_a_k_outside_1_to_d(call
     # a NaN box used to give a consistent report, and k = 0 an IndexError
     with pytest.raises(ValueError, match=err):
         call()
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12, True])
+def test_block_positivity_falsifier_refuses_a_bad_tolerance(tol):
+    # a NaN or negative tol used to return a "violator" of the PSD identity
+    with pytest.raises(ValueError):
+        block_positivity_falsifier(np.eye(9), 1, iters=2, tol=tol)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf"), 0.5, 1e-12, True, False])
+def test_witness_violation_search_refuses_a_bad_threshold(threshold):
+    # a threshold above 0 used to "certify" the maximally mixed state, and a
+    # NaN one to hide the violation the default threshold finds
+    for a in (0.0, 0.9):
+        with pytest.raises(ValueError):
+            witness_violation_search(InvariantState(4, a, 0.0), 1, threshold=threshold)
+
+
+def test_witness_violation_search_takes_a_zero_threshold():
+    hit = witness_violation_search(InvariantState(4, 0.9, 0.0), 1, threshold=0.0)
+    assert hit == witness_violation_search(InvariantState(4, 0.9, 0.0), 1)
+
+
+@pytest.mark.parametrize("xi1sq", [-0.1, 1.5, 2.0, float("nan"), float("inf"), True, False])
+@pytest.mark.parametrize("conditions", [block_conditions, block_conditions_grid])
+def test_block_conditions_refuse_an_overlap_outside_0_to_1(conditions, xi1sq):
+    # the grid form used to answer [True] at xi1sq = 2.0
+    with pytest.raises(ValueError):
+        conditions(4, [0.0] if conditions is block_conditions_grid else 0.0, 0.0, 2, xi1sq)

@@ -166,6 +166,21 @@ def test_map_family_self_adjoint_under_pairing():
         assert abs(lhs - rhs) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_apply_channel_right_is_id_n_tensor_the_map(n):
+    # (id_n x map)(A x Z) = A x map(Z) for any n, not only n = d
+    rng = np.random.default_rng(n)
+    m = CovariantMap(3, 0.4, -0.7)
+    A, Z = _random_hermitian(n, rng), _random_hermitian(3, rng)
+    assert np.allclose(apply_channel_right(m, np.kron(A, Z)), np.kron(A, m.apply(Z)), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 6), (9,), (3, 3, 3)])
+def test_apply_channel_right_refuses_a_side_that_is_not_a_multiple_of_d(shape):
+    with pytest.raises(ValueError):
+        apply_channel_right(CovariantMap(3, 0.4, -0.7), np.zeros(shape))
+
+
 def test_haar_orthogonal_is_orthogonal():
     rng = np.random.default_rng(7)
     for d in (1, 3, 6):
