@@ -350,20 +350,26 @@ def block_conditions(d: int, p, q, k: int, xi1sq) -> bool:
     With A = (1-p-q)/d, requires A-q >= 0, A+q >= 0, A >= 0,
     A+q+pk*s >= 0, A+pk-pk*s >= 0 and (A+q)(A+pk) - pkq*s >= 0 at the overlap
     value s = xi1sq.  k-positivity (1 < k < d) is equivalent to these holding
-    at s in {1, max(2k-d, 0)/k}.
+    at s in {1, max(2k-d, 0)/k}.  A bool or non-finite p, q is refused.
     """
+    _check_finite(p, q)
     return all(c >= 0 for c in _block_checks(d, p, q, k, xi1sq))
 
 
 def block_conditions_grid(d: int, P, Q, k: int, xi1sq: float) -> np.ndarray:
-    """Vectorized block_conditions over float arrays (strict >= 0)."""
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
+    """Vectorized block_conditions over float arrays (strict >= 0), refusing a bool or non-finite entry."""
+    P, Q = np.asarray(P), np.asarray(Q)
+    if P.dtype == bool or Q.dtype == bool:
+        raise ValueError("boolean input")
+    P, Q = P.astype(float), Q.astype(float)
+    if not (np.isfinite(P).all() and np.isfinite(Q).all()):
+        raise ValueError("non-finite input")
     return np.logical_and.reduce([c >= 0 for c in _block_checks(d, P, Q, k, xi1sq)])
 
 
 def _block_checks(d: int, p, q, k: int, xi1sq) -> tuple:
     """The six block-condition values; exact for int/Fraction, elementwise on arrays."""
+    region_case(d, k)
     _check_finite(xi1sq)
     if not 0 <= xi1sq <= 1:
         raise ValueError("xi1sq must lie in [0, 1]")
@@ -440,23 +446,16 @@ def witness_violation_search(
 # ---------------------------------------------------------------------------
 
 
-def _min_generalized_eig(M: np.ndarray, F: np.ndarray) -> tuple[float, np.ndarray]:
-    """Least eigenvalue of M, hermitized, against kron(F^H F, I_d), with its d x k factors.
+def _half_step(X4: np.ndarray, F: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Least <xi|X|xi> over unit xi = G Q^T, Q = F made orthonormal (thin SVD, all k columns).
 
-    The metric's eigenvectors are u (x) e_a for the eigenpairs (w, u) of the k x k
-    F^H F, so its whitening is W = (U / sqrt(w)) (x) I_d over the w > 1e-12 w_max.
+    As ||G Q^T|| = ||G||, that is the least eigenpair of (I_d x Q)^H X (I_d x Q),
+    indexed (i, a); returns its value, the d x k factor G, and Q.
     """
     d, k = F.shape
-    M = M.reshape(k * d, k * d)
-    M = (M + M.conj().T) / 2
-    w, U = np.linalg.eigh(F.conj().T @ F)
-    keep = w > 1e-12 * max(float(w[-1]), 1e-300)
-    U = U[:, keep] / np.sqrt(w[keep])
-    W = (U[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(k * d, -1)
-    M2 = W.conj().T @ M @ W
-    M2 = (M2 + M2.conj().T) / 2
-    vals, vecs = np.linalg.eigh(M2)
-    return float(vals[0]), (W @ vecs[:, 0]).reshape(k, d).T
+    Q = np.linalg.svd(F, full_matrices=False)[0]
+    w, U = np.linalg.eigh(np.einsum("abce,bi,ej->iajc", X4, Q.conj(), Q).reshape(k * d, k * d))
+    return float(w[0]), U[:, 0].reshape(k, d).T, Q
 
 
 def block_positivity_falsifier(
@@ -468,29 +467,29 @@ def block_positivity_falsifier(
 ) -> np.ndarray | None:
     """Search for a Schmidt-rank-<=k unit vector xi with <xi|X|xi> < 0.
 
-    Alternating minimization: with one factor set fixed, the optimal other
-    factor set solves a generalized Hermitian eigenproblem.  Heuristic: only
-    a returned violator is load-bearing; None proves nothing.  X must be
-    Hermitian on C^d x C^d with d >= 2, k in 1..d and tol finite and >= 0.
+    Alternating minimization over xi = A B^T (a d x d matrix) from a seeded
+    Gaussian B: each half-step fixes one factor, makes it orthonormal and
+    takes the other as the least eigenvector of X compressed to its span
+    (_half_step; the second runs on X with its tensor factors swapped), until
+    the value is below -tol * max(1, ||X||_2) or iters rounds are done.
+    Heuristic: only a returned violator is load-bearing; None proves nothing.
+    X must be Hermitian on C^d x C^d with d >= 2, k in 1..d and tol finite
+    and >= 0.
     """
     _check_tolerances(tol)
     X, d = _as_bipartite_hermitian(X)
     region_case(d, k)
     scale = max(1.0, float(np.linalg.norm(X, 2)))
-    X4 = np.asarray(X).reshape(d, d, d, d)
+    X4 = X.reshape(d, d, d, d)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(97,)))
-    A = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
     B = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    val = np.inf
     for _ in range(iters):
-        val, A = _min_generalized_eig(np.einsum("abce,bi,ej->iajc", X4, B.conj(), B), B)
-        val, B = _min_generalized_eig(np.einsum("abce,ai,cj->ibje", X4, A.conj(), A), A)
+        val, A, B = _half_step(X4, B)
+        val, B, A = _half_step(X4.transpose(1, 0, 3, 2), A)
         if val < -tol * scale:
-            break
-    if val >= -tol * scale:
-        return None
-    xi = np.einsum("ai,bi->ab", A, B).reshape(d * d)
-    return xi / np.linalg.norm(xi)
+            xi = np.einsum("ai,bi->ab", A, B).reshape(d * d)
+            return xi / np.linalg.norm(xi)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from schmidt_cone.oracles import (
     _all_psd_fast,
     _compressions,
     _grid_task,
-    _min_generalized_eig,
+    _half_step,
     _overlap_gradient,
     _relative_min_eig,
 )
@@ -448,36 +448,45 @@ def test_falsifier_finds_violator_outside_p2():
     assert found >= 19  # >= 95% success over seeds
 
 
-def _kron_metric_min_eig(M, F):
-    """The generalized eigenproblem against the kd x kd metric kron(F^H F, I_d), literally."""
-    d, k = F.shape
-    M = M.reshape(k * d, k * d)
-    M = (M + M.conj().T) / 2
-    w, U = np.linalg.eigh(np.kron(F.conj().T @ F, np.eye(d)))
-    keep = w > 1e-12 * max(float(w[-1]), 1e-300)
-    W = U[:, keep] / np.sqrt(w[keep])
-    M2 = W.conj().T @ M @ W
-    vals, vecs = np.linalg.eigh((M2 + M2.conj().T) / 2)
-    return float(vals[0]), (W @ vecs[:, 0]).reshape(k, d).T
-
-
 @pytest.mark.parametrize("rank_deficient", [False, True])
-def test_min_generalized_eig_matches_the_kron_metric(rank_deficient):
+def test_half_step_matches_the_literal_compression(rank_deficient):
+    # the einsum compression is (I_d x Q)^H X (I_d x Q) with its index (a, i)
+    # read as (i, a); on X with its factors swapped it is (Q x I_d)^H X (Q x I_d)
     rng = np.random.default_rng(23)
     for d in (2, 3, 4):
         for k in range(1, d + 1):
             for _ in range(5):
-                M = rng.standard_normal((k, d, k, d)) + 1j * rng.standard_normal((k, d, k, d))
+                g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+                X = g + g.conj().T
                 F = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
                 if rank_deficient and k > 1:
-                    F[:, -1] = F[:, 0]  # F^H F singular: one eigenvalue is dropped
-                val, A = _min_generalized_eig(M, F)
-                ref_val, ref_A = _kron_metric_min_eig(M, F)
-                assert abs(val - ref_val) <= 1e-10
-                # the same factors, up to one global phase
-                overlap = np.vdot(ref_A, A)
-                assert abs(abs(overlap) - np.linalg.norm(A) * np.linalg.norm(ref_A)) <= 1e-10
-                assert np.max(np.abs(A - ref_A * overlap / abs(overlap))) <= 1e-10
+                    F[:, -1] = F[:, 0]  # a repeated column: F has rank k - 1
+                X4 = X.reshape(d, d, d, d)
+                for swap in (False, True):
+                    val, A, Q = _half_step(X4.transpose(1, 0, 3, 2) if swap else X4, F)
+                    assert np.allclose(Q.conj().T @ Q, np.eye(k), atol=1e-12)
+                    assert np.linalg.matrix_rank(np.hstack([Q, F]), tol=1e-8) == k  # Q spans F
+                    W = np.kron(Q, np.eye(d)) if swap else np.kron(np.eye(d), Q)
+                    w, U = np.linalg.eigh(W.conj().T @ X @ W)
+                    ref_A = U[:, 0].reshape(k, d).T if swap else U[:, 0].reshape(d, k)
+                    assert abs(val - w[0]) <= 1e-10
+                    # the same factor, up to one global phase
+                    overlap = np.vdot(ref_A, A)
+                    assert abs(abs(overlap) - 1) <= 1e-10
+                    assert np.max(np.abs(A - ref_A * overlap)) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_falsifier_finds_the_rank_collapse_violator_at_d5(seed):
+    # a k x k metric whitening dropped the null directions of a rank-deficient
+    # factor and returned None here at every seed
+    d, k = 5, 3
+    X = CovariantMap(d, -0.07298, 0.1755).choi()
+    xi = block_positivity_falsifier(X, k, seed=seed)
+    assert xi is not None
+    assert abs(np.linalg.norm(xi) - 1) <= 1e-12
+    assert np.linalg.matrix_rank(xi.reshape(d, d), tol=1e-8) <= k
+    assert float(np.vdot(xi, X @ xi).real) < 0
 
 
 def test_falsifier_interior_point_clean():
@@ -764,3 +773,20 @@ def test_block_conditions_refuse_an_overlap_outside_0_to_1(conditions, xi1sq):
     # the grid form used to answer [True] at xi1sq = 2.0
     with pytest.raises(ValueError):
         conditions(4, [0.0] if conditions is block_conditions_grid else 0.0, 0.0, 2, xi1sq)
+
+
+@pytest.mark.parametrize(
+    "d, p, q, k",
+    [(4, float("nan"), 0.0, 2), (4, 0.1, float("inf"), 2), (4, True, 0, 2), (4, 0.1, False, 2),
+     (4, 0.1, 0.0, 7), (4, 0.1, 0.0, 0), (2.5, 0.1, 0.0, 2), (True, 0.1, 0.0, 1), (1, 0.1, 0.0, 1)],
+)
+@pytest.mark.parametrize("grid", [False, True])
+def test_block_conditions_refuse_a_bad_point_d_or_k(grid, d, p, q, k):
+    # a NaN p used to read as a violated point, and a bool p, a float d or a
+    # k > d as a satisfied one
+    if grid:
+        with pytest.raises(ValueError):
+            block_conditions_grid(d, [p, p], [q, q], k, 1.0)
+    else:
+        with pytest.raises(ValueError):
+            block_conditions(d, p, q, k, 1.0)
