@@ -101,6 +101,24 @@ def _check_integer(v, name: str):
         raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
+def _check_counts(least: int, **counts):
+    """Refuse a count that is a bool, not a Python or numpy integer, or below ``least``."""
+    for name, v in counts.items():
+        if type(v) is int and v >= least:
+            continue
+        import numpy as np
+
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+            raise ValueError(f"{name} must be >= {least}, got {v!r}")
+
+
+def _check_tolerances(*tols):
+    """Refuse a NaN, infinite, negative or bool tolerance, as the classifier does."""
+    _check_finite(*tols)
+    if min(tols) < 0:
+        raise ValueError(f"negative tolerance {min(tols)!r}")
+
+
 # ---------------------------------------------------------------------------
 # Conics
 # ---------------------------------------------------------------------------
@@ -357,7 +375,7 @@ def conic_through_five_points(points, interior=None) -> Conic:
 
 
 def _check_case3(d: int, k: int):
-    if not (2 <= d and 2 * k > d and k < d):
+    if region_case(d, k) != 3:
         raise ValueError(f"k={k} out of range d/2 < k < d for d={d}")
 
 
@@ -659,8 +677,7 @@ def conic_arc_points(conic: Conic, start, end, n: int, anchor) -> list[tuple]:
     point, and the chord angle varies monotonically along a convex arc.  This
     avoids vertical-branch issues of solving for y over an x grid.
     """
-    if n < 2:
-        raise ValueError("need at least the two endpoints")
+    _check_counts(2, n=n)
     ax, ay = float(anchor[0]), float(anchor[1])
     A, B, C = float(conic.A), float(conic.B), float(conic.C)
     c0 = float(conic(ax, ay))
@@ -690,8 +707,7 @@ def conic_arc_points(conic: Conic, start, end, n: int, anchor) -> list[tuple]:
 
 def _region_boundary(kind: str, d: int, k: int, arc_samples: int) -> RegionBoundary:
     row = _REGIONS[kind, region_case(d, k)]
-    if arc_samples < 2:  # refused in every case, with or without an arc to sample
-        raise ValueError(f"arc_samples must be >= 2, got {arc_samples}")
+    _check_counts(2, arc_samples=arc_samples)  # in every case, with or without an arc to sample
     verts = _vertices(kind, d, k, False)
     if row.conic is None:
         return RegionBoundary(vertices=verts)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _check_finite
+from .geometry import _check_counts, _check_tolerances
 
 __all__ = [
     "as_hermitian",
@@ -19,13 +19,6 @@ __all__ = [
     "max_entangled",
     "flip",
 ]
-
-
-def _check_tolerances(*tols) -> None:
-    """Refuse a NaN, infinite, negative or bool tolerance, as the classifier does."""
-    _check_finite(*tols)
-    if min(tols) < 0:
-        raise ValueError(f"negative tolerance {min(tols)!r}")
 
 
 def as_hermitian(X, tol: float = 1e-12) -> np.ndarray:
@@ -97,8 +90,7 @@ def schmidt_spectrum(vec, dim_a: int, dim_b: int, tol: float = 1e-12) -> np.ndar
     returned (none for a zero vector).  A non-finite entry is refused.
     """
     vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if dim_a <= 0 or dim_b <= 0:
-        raise ValueError("dimensions must be positive")
+    _check_counts(1, dim_a=dim_a, dim_b=dim_b)
     if vec.size != dim_a * dim_b:
         raise ValueError(f"vector length {vec.size} != {dim_a}*{dim_b}")
     if not np.isfinite(vec).all():
@@ -119,8 +111,7 @@ def pairing(X, Y) -> float:
 
 def max_entangled(d: int) -> np.ndarray:
     """The maximally entangled unit vector (1/sqrt(d)) sum_j |jj> in C^d x C^d."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_counts(1, d=d)
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     return v
@@ -128,7 +119,6 @@ def max_entangled(d: int) -> np.ndarray:
 
 def flip(d: int) -> np.ndarray:
     """The flip (swap) operator F = sum_ij |ij><ji| on C^d x C^d."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_counts(1, d=d)
     # row (i, j) of F is row (j, i) of the identity
     return np.eye(d * d).reshape(d, d, d * d).swapaxes(0, 1).reshape(d * d, d * d)

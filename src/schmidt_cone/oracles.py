@@ -26,9 +26,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classify import _check_finite, is_k_positive, kpos_margin_grid, schmidt_margin_grid
-from .geometry import _is_exact, _traversal_points, map_region_boundary, region_case, state_region_vertices
-from .linalg import _as_bipartite_hermitian, _check_tolerances, _haar_qr
+from .classify import is_k_positive, kpos_margin_grid, schmidt_margin_grid
+from .geometry import _check_counts, _check_finite, _check_tolerances, _is_exact, _traversal_points
+from .geometry import map_region_boundary, region_case, state_region_vertices
+from .linalg import _as_bipartite_hermitian, _haar_qr
 from .symmetry import CovariantMap, InvariantState, apply_channel_right, twirl_exact, twirl_monte_carlo
 
 __all__ = [
@@ -61,8 +62,8 @@ __all__ = [
 
 
 def default_workers() -> int:
-    """Worker count for the verification pools, capped by SCHMIDT_CONE_THREADS."""
-    n = os.cpu_count() or 1
+    """Pool worker count: the CPUs this process may run on, capped by SCHMIDT_CONE_THREADS."""
+    n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     cap = os.environ.get("SCHMIDT_CONE_THREADS")
     if cap:
         n = max(1, min(n, int(cap)))
@@ -131,6 +132,8 @@ def random_frames(d: int, k: int, n: int, rng: np.random.Generator) -> np.ndarra
     (linalg._haar_qr) column j reads only columns 1..j, so these are the first
     k columns of that unitary.
     """
+    region_case(d, k)
+    _check_counts(0, n=n)
     g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
     return _haar_qr(g[:, :, :k])
 
@@ -229,8 +232,7 @@ def tomiyama_check(
     frames alone.
     """
     _check_tolerances(tol)
-    if n_random < 0:
-        raise ValueError(f"n_random must be >= 0, got {n_random}")
+    _check_counts(0, n_random=n_random)
     region_case(d, k)
     m = CovariantMap(d, float(p), float(q))  # refuses a NaN or infinite point
     expl = explicit_frames(d, k)
@@ -306,8 +308,7 @@ def frame_overlap_minimize(
     Every restart follows the same path as it would alone, and ties go to
     the explicit frames, then to the earliest restart.
     """
-    if restarts < 0 or iters < 0:
-        raise ValueError("restarts and iters must be >= 0")
+    _check_counts(0, restarts=restarts, iters=iters)
     best_val, best_frame = None, None
     for _, fr in explicit_frames(d, k):
         val = frame_overlap(fr)
@@ -473,10 +474,11 @@ def block_positivity_falsifier(
     (_half_step; the second runs on X with its tensor factors swapped), until
     the value is below -tol * max(1, ||X||_2) or iters rounds are done.
     Heuristic: only a returned violator is load-bearing; None proves nothing.
-    X must be Hermitian on C^d x C^d with d >= 2, k in 1..d and tol finite
-    and >= 0.
+    X must be Hermitian on C^d x C^d with d >= 2, k in 1..d, iters >= 1 and
+    tol finite and >= 0.
     """
     _check_tolerances(tol)
+    _check_counts(1, iters=iters)
     X, d = _as_bipartite_hermitian(X)
     region_case(d, k)
     scale = max(1.0, float(np.linalg.norm(X, 2)))
@@ -535,8 +537,7 @@ def duality_sanity(d: int, samples: int = 1000, seed: int = 0) -> OracleReport:
     region_case(d, 1)  # refuses d < 2 and a d that is not an integer
     if d > 4:
         raise ValueError("duality sanity is desk-scale only (d <= 4)")
-    if samples < 2:
-        raise ValueError("duality sanity needs samples >= 2, one of each pairing")
+    _check_counts(2, samples=samples)  # one sample of each pairing
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(11, d)))
     worst = np.inf
     lo = -1.0 / (d - 1) - 0.3
@@ -655,14 +656,9 @@ def grid_agreement(
     box finite.  d must be an integer >= 2.
     """
     region_case(d, 1)
-    if grid_n < 1:
-        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
-    if n_random < 1:
-        raise ValueError(f"n_random must be >= 1, got {n_random}")
     if workers is None:
         workers = default_workers()
-    elif workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_counts(1, grid_n=grid_n, n_random=n_random, workers=workers)
     _check_tolerances(band, tol)
     _check_finite(*box)
     chunk = 10
@@ -713,8 +709,7 @@ def witness_grid_check(
     Runs over a grid inside the PSD triangle, all k, excluding a band around
     each region boundary.  grid_n must be at least 1, and band finite and >= 0.
     """
-    if grid_n < 1:
-        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
+    _check_counts(1, grid_n=grid_n)
     _check_tolerances(band)
     verts = np.asarray(state_region_vertices(d, d, exact=False))
     a_axis = np.linspace(verts[:, 0].min(), verts[:, 0].max(), grid_n)
@@ -774,8 +769,7 @@ def twirl_consistency(
     """Monte-Carlo twirl vs exact projection on random unit-norm Hermitian inputs; tol finite, >= 0."""
     region_case(d, 1)
     _check_tolerances(tol)
-    if n_ops < 1:
-        raise ValueError("n_ops must be >= 1")
+    _check_counts(1, n_ops=n_ops)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7, d)))
     worst = 0.0
     worst_op = None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _check_finite, region_case
+from .geometry import _check_counts, _check_finite, region_case
 from .linalg import _as_bipartite_hermitian, _haar_qr, flip, max_entangled
 
 __all__ = [
@@ -146,8 +146,8 @@ def twirl_exact(X) -> InvariantCoordinates:
 
 def haar_orthogonal_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n Haar-random real orthogonal d x d matrices, (n, d, d): _haar_qr of a Gaussian stack."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_counts(1, d=d)
+    _check_counts(0, n=n)
     return _haar_qr(rng.standard_normal((n, d, d)))
 
 
@@ -168,8 +168,7 @@ def twirl_monte_carlo(X, n_samples: int, seed: int = 0) -> np.ndarray:
     i side by side, then the sum over i and the inner index as one
     contraction of length m d^2.
     """
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
+    _check_counts(1, n_samples=n_samples)
     X, d = _as_bipartite_hermitian(X)
     d2 = d * d
     parts = np.concatenate([X.real, X.imag])  # (2 d^2, d^2)

@@ -47,7 +47,9 @@ def test_kpos_conic_d4_k3_coefficients():
 def test_cached_builders_refuse_a_non_integer_d_or_k(d, k):
     # the (4, 3) entries exist first, so an equal float or bool key must not hit them
     kpos_conic(4, 3, exact=True), dual_conic(4, 3), map_region_vertices(4, 3, exact=True)
-    for build in (kpos_conic, dual_conic, map_region_vertices, state_region_vertices):
+    builders = (kpos_conic, dual_conic, dual_tangent_lines, dual_tangency_points, map_region_vertices,
+                state_region_vertices)
+    for build in builders:
         with pytest.raises(ValueError):
             build(d, k)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from schmidt_cone.linalg import (
     pairing,
     schmidt_spectrum,
 )
-from schmidt_cone.oracles import block_positivity_falsifier
-from schmidt_cone.symmetry import twirl_exact, twirl_monte_carlo
+from schmidt_cone.oracles import block_positivity_falsifier, random_frames
+from schmidt_cone.symmetry import haar_orthogonal_batch, twirl_exact, twirl_monte_carlo
 
 
 def test_is_psd_identity():
@@ -202,3 +204,33 @@ def test_a_matrix_with_a_non_finite_entry_is_refused(call, bad):
 def test_is_psd_refuses_a_nan_infinite_or_bool_tolerance(tol):
     with pytest.raises(ValueError, match="input"):
         is_psd(np.eye(2), tol=tol)
+
+
+def _count_cases():
+    """(call, an accepted count, a refused one, the message) for each count without a refusal test."""
+    sites = [
+        ("falsifier-iters", 1, lambda n: block_positivity_falsifier(np.eye(4), 1, iters=n)),
+        ("random_frames-n", 0, lambda n: random_frames(3, 2, n, np.random.default_rng(0))),
+        ("haar-n", 0, lambda n: haar_orthogonal_batch(2, n, np.random.default_rng(0))),
+        ("twirl-n_samples", 1, lambda n: twirl_monte_carlo(np.eye(4), n)),
+        ("schmidt_spectrum-dim_a", 1, lambda n: schmidt_spectrum(np.ones(2), n, 2)),
+        ("schmidt_spectrum-dim_b", 1, lambda n: schmidt_spectrum(np.ones(2), 2, n)),
+        ("max_entangled-d", 1, max_entangled),
+        ("flip-d", 1, flip),
+    ]
+    for name, least, call in sites:
+        for bad in (least - 1, True, False, 2.0):
+            yield pytest.param(call, least, bad, f"must be >= {least}, got {bad!r}", id=f"{name}-{bad!r}")
+    yield pytest.param(
+        lambda k: random_frames(3, k, 1, np.random.default_rng(0)), 3, 4, "k=4 out of range 1..3",
+        id="random_frames-k-4",
+    )
+
+
+@pytest.mark.parametrize("call, good, bad, message", _count_cases())
+def test_a_count_out_of_range_or_not_an_integer_is_refused(call, good, bad, message):
+    # a bool used to count as 0 or 1, and a negative or zero count ran on
+    # nothing (the falsifier returned None) or failed inside numpy
+    call(np.int64(good))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(bad)

@@ -325,7 +325,11 @@ def test_frame_overlap_minimize_matches_the_pinned_digest():
     assert h.hexdigest() == "12cdee00cccdaab3e7928903dd3c8fc26c6e98565702f006e847fe34efb62876"
 
 
-@pytest.mark.parametrize("kwargs", [{"restarts": -3}, {"iters": -1}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"restarts": -3}, {"iters": -1}]
+    + [{name: bad} for name in ("restarts", "iters") for bad in (True, False, 2.0)],
+)
 def test_frame_overlap_minimize_refuses_negative_counts(kwargs):
     with pytest.raises(ValueError):
         frame_overlap_minimize(5, 3, **kwargs)
@@ -506,16 +510,17 @@ def test_duality_sanity_d3():
         duality_sanity(5)
 
 
-@pytest.mark.parametrize("samples", [0, 1])
+@pytest.mark.parametrize("samples", [0, 1, True, False, 2.0])
 def test_duality_sanity_refuses_fewer_than_two_samples(samples):
     # samples=0 reported consistent over nothing; samples=1 drew no EB sample
     with pytest.raises(ValueError):
         duality_sanity(3, samples=samples)
 
 
-def test_twirl_consistency_refuses_no_operators():
+@pytest.mark.parametrize("n_ops", [0, True, False, 2.0])
+def test_twirl_consistency_refuses_no_operators(n_ops):
     with pytest.raises(ValueError):
-        twirl_consistency(3, n_ops=0, n_samples=10)
+        twirl_consistency(3, n_ops=n_ops, n_samples=10)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12, True])
@@ -553,7 +558,8 @@ def test_duality_spot_values():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(n_random=0), dict(n_random=-5), dict(workers=0), dict(workers=-1), dict(grid_n=0), dict(grid_n=-1)],
+    [dict(n_random=0), dict(n_random=-5), dict(workers=0), dict(workers=-1), dict(grid_n=0), dict(grid_n=-1)]
+    + [{name: bad} for name in ("n_random", "workers", "grid_n") for bad in (True, False, 2.0)],
 )
 def test_grid_agreement_refuses_a_vacuous_run(kwargs):
     # no random frame leaves interior points untested; no worker or no grid
@@ -581,7 +587,7 @@ def test_a_suite_refuses_every_d_that_region_case_refuses(suite, d):
         suite(d)
 
 
-@pytest.mark.parametrize("grid_n", [0, -1])
+@pytest.mark.parametrize("grid_n", [0, -1, True, False, 2.0])
 def test_witness_grid_check_refuses_an_empty_grid(grid_n):
     with pytest.raises(ValueError):
         witness_grid_check(3, grid_n=grid_n)
@@ -688,7 +694,7 @@ def test_tomiyama_check_refuses_a_bad_tolerance(tol):
         tomiyama_check(3, 0.0, 0.9, 2, tol=tol)
 
 
-@pytest.mark.parametrize("n_random", [-1, -3])
+@pytest.mark.parametrize("n_random", [-1, -3, True, False, 2.0])
 def test_tomiyama_check_refuses_a_negative_frame_count(n_random):
     # n_random = -3 used to read consistent with samples 2, the explicit frames alone
     with pytest.raises(ValueError, match="n_random must be >= 0"):
@@ -790,3 +796,11 @@ def test_block_conditions_refuse_a_bad_point_d_or_k(grid, d, p, q, k):
     else:
         with pytest.raises(ValueError):
             block_conditions(d, p, q, k, 1.0)
+
+
+def test_default_workers_counts_the_cpus_in_the_affinity_mask(monkeypatch):
+    # os.cpu_count() counts the machine's CPUs, not those this process may use
+    monkeypatch.setattr(oracles.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(oracles.os, "cpu_count", lambda: 8)
+    monkeypatch.delenv("SCHMIDT_CONE_THREADS", raising=False)
+    assert oracles.default_workers() == 1
