@@ -10,8 +10,8 @@ data), the boundaries and the five tangents of the dual ellipse.
 
 Also implements the boundary conic of the k-positivity region, conic
 classification, the pairing-induced linear isomorphism between witness and
-state coordinates, pole-polar duality, five-point conic fitting (exact
-rational or floating point), and arc sampling for plots.
+state coordinates, pole-polar duality, exact five-point conic fitting (a
+float read as its binary value), and arc sampling for plots.
 
 Exact mode: corners and the pairing map are evaluated in rational arithmetic
 whenever the inputs are rationals.  The five-point fit and exact margins work
@@ -294,13 +294,11 @@ def pole_of_tangent(conic: Conic, pt: tuple, tol: float = 1e-9) -> tuple:
 
 
 def _integer_fit(pts) -> list[int]:
-    """Primitive integer null vector of the five monomial rows of rational points.
+    """Primitive integer null vector, last nonzero entry positive, of five rational points.
 
     A point over its common denominator w, (X/w, Y/w), gives the integer row
-    (X^2, XY, Y^2, Xw, Yw, w^2): its monomial row times w^2, so the nullspace
-    is the same.  Gauss-Jordan elimination runs on those integers, each
-    updated row divided by the gcd of its entries.  The last nonzero
-    coefficient comes out positive.
+    (X^2, XY, Y^2, Xw, Yw, w^2): its monomial row times w^2, same nullspace.
+    Gauss-Jordan elimination runs on those rows, each update divided by its gcd.
     """
     rows = []
     for x, y in pts:
@@ -334,39 +332,30 @@ def _integer_fit(pts) -> list[int]:
     return [v // g for v in sol]
 
 
-def conic_through_five_points(points, interior=None) -> Conic:
-    """Conic through five points in general position.
+def _rational(v):
+    """The exact rational a finite coordinate denotes: a float as its binary value."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(float(v))
 
-    Solves the homogeneous 5x6 system in the monomials (x^2, xy, y^2, x, y, 1).
-    With exact rational points the nullspace is computed exactly, by
-    fraction-free integer elimination, as primitive integer coefficients
-    whose last nonzero one is positive; otherwise an SVD nullvector is used.
-    If ``interior`` is given, the sign is normalized so the conic evaluates
-    <= 0 there.  Raises on rank-deficient configurations and on a NaN,
-    infinite or bool coordinate.
+
+def conic_through_five_points(points, interior=None) -> Conic:
+    """Conic through five points in general position, fitted exactly (_integer_fit).
+
+    A float coordinate is read as its binary value; if there is one, the
+    coefficients are divided by the largest in magnitude and rounded to
+    floats.  ``interior``, if given, is put on the <= 0 side.  Raises on
+    rank-deficient configurations and on a NaN, infinite or bool coordinate.
     """
     pts = [tuple(p) for p in points]
     if len(pts) != 5:
         raise ValueError("exactly five points required")
     _check_finite(*(v for pt in pts for v in pt), *(() if interior is None else interior))
-    exact = all(_is_exact(x, y) for x, y in pts)
-    if exact:
-        conic = Conic(*_integer_fit(pts))
-    else:
-        import numpy as np
-
-        M = np.array([[x * x, x * y, y * y, x, y, 1.0] for x, y in pts], dtype=float)
-        _, s, vh = np.linalg.svd(M)
-        if s[4] <= 1e-10 * s[0]:
-            raise ValueError("degenerate configuration: points do not determine a unique conic")
-        vec = vh[-1]
-        vec = vec / np.max(np.abs(vec))
-        conic = Conic(*(float(v) for v in vec))
-    if interior is not None:
-        val = conic(interior[0], interior[1])
-        if (exact and val > 0) or (not exact and float(val) > 0.0):
-            conic = Conic(*(-v for v in conic))
-    return conic
+    coeffs = _integer_fit([(_rational(x), _rational(y)) for x, y in pts])
+    if interior is not None and Conic(*coeffs)(_rational(interior[0]), _rational(interior[1])) > 0:
+        coeffs = [-v for v in coeffs]
+    if all(_is_exact(x, y) for x, y in pts):
+        return Conic(*coeffs)
+    scale = max(map(abs, coeffs))
+    return Conic(*(float(Fraction(v, scale)) for v in coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -374,63 +363,52 @@ def conic_through_five_points(points, interior=None) -> Conic:
 # ---------------------------------------------------------------------------
 
 
-def _check_case3(d: int, k: int):
+_Dual = namedtuple("_Dual", "points lines conic")
+
+
+@lru_cache(maxsize=None, typed=True)
+def _dual(d: int, k: int) -> _Dual:
+    """The case-3 dual ellipse, built once per (d, k).
+
+    ``points``: the positivity conic's five rational points under
+    pole-of-tangent and the inverse pairing map; the last two end the state
+    arc.  ``lines``: the tangents there, as half-planes holding the state
+    region.  ``conic``: the exact fit through the points, whose filled
+    ellipse (holding their centroid) is its <= 0 side.
+    """
     if region_case(d, k) != 3:
         raise ValueError(f"k={k} out of range d/2 < k < d for d={d}")
-
-
-def dual_tangency_points(d: int, k: int, exact: bool = True) -> list[tuple]:
-    """The five tangency points of the dual conic in state coordinates.
-
-    They are the images of the five rational points of the positivity conic
-    (in witness coordinates) under pole-of-tangent followed by the inverse
-    pairing map.  The last two are the ends of the state arc, corners of the
-    region.
-    """
-    _check_case3(d, k)
     D2 = d * d + d - 2
     corners = _vertices("state", d, k, True)
-    pts = [
+    pts = (
         (Fraction(-d, k * D2), Fraction(d * d - k * d + d - 2 * k, k * D2)),
         (Fraction(d * d - k * d + d - k - 1, D2), Fraction(-(d - k + 1), D2)),
         (Fraction(2 * k * d - d * d + 2 * k - d - 2, D2), Fraction(2 * d - 2 * k, D2)),
         corners[-1],
         corners[0],
-    ]
-    if exact:
-        return pts
-    return [(float(x), float(y)) for x, y in pts]
+    )
+    centroid = (sum(x for x, _ in pts) / 5, sum(y for _, y in pts) / 5)
+    # the fit is looked up as a module global, so a wrapper installed on it sees the call
+    conic = conic_through_five_points(pts, interior=centroid)
+    return _Dual(pts, tuple(_halfplanes(_DUAL_TANGENTS, d, k)), conic)
+
+
+def dual_tangency_points(d: int, k: int, exact: bool = True) -> list[tuple]:
+    """The five tangency points of the dual ellipse in state coordinates (see ``_dual``)."""
+    pts = _dual(d, k).points
+    return list(pts) if exact else [(float(x), float(y)) for x, y in pts]
 
 
 def dual_tangent_lines(d: int, k: int) -> list[HalfPlane]:
-    """The five lines (as n.x <= c half-planes) tangent to the dual conic.
-
-    Listed in the same order as dual_tangency_points; the state region lies on
-    the <= side of each.
-    """
-    _check_case3(d, k)
-    return _halfplanes(_DUAL_TANGENTS, d, k)
+    """The dual ellipse's tangents at its tangency points, in their order, as n.x <= c."""
+    return list(_dual(d, k).lines)
 
 
 @lru_cache(maxsize=None, typed=True)
-def _dual_conic(d: int, k: int, exact: bool) -> Conic:
-    if not exact:
-        return _dual_conic(d, k, True).as_float()
-    pts = dual_tangency_points(d, k, exact=True)
-    cx = sum(p[0] for p in pts) / 5
-    cy = sum(p[1] for p in pts) / 5
-    return conic_through_five_points(pts, interior=(cx, cy))
-
-
 def dual_conic(d: int, k: int, exact: bool = True) -> Conic:
-    """The conic through the five dual tangency points (an ellipse).
-
-    Fitted exactly in rational arithmetic and reduced to primitive integer
-    coefficients, sign-normalized so the centroid of the tangency points
-    evaluates <= 0 (the filled ellipse is the <= 0 side).
-    """
-    _check_case3(d, k)
-    return _dual_conic(d, k, exact)
+    """The dual ellipse: primitive integer coefficients, or floats scaled to max 1."""
+    conic = _dual(d, k).conic
+    return conic if exact else conic.as_float()
 
 
 def tangency_discriminant(conic: Conic, line: HalfPlane):
@@ -568,7 +546,7 @@ _REGIONS = {
         _L5,
         _L11,
         _CHORD,
-        conic=_dual_conic,
+        conic=dual_conic,
         union=True,
         anchor=lambda d, k: dual_tangency_points(d, k, exact=False)[0],
     ),

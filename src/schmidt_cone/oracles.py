@@ -232,7 +232,7 @@ def tomiyama_check(
     frames alone.
     """
     _check_tolerances(tol)
-    _check_counts(0, n_random=n_random)
+    _check_counts(0, n_random=n_random, seed=seed)
     region_case(d, k)
     m = CovariantMap(d, float(p), float(q))  # refuses a NaN or infinite point
     expl = explicit_frames(d, k)
@@ -308,7 +308,7 @@ def frame_overlap_minimize(
     Every restart follows the same path as it would alone, and ties go to
     the explicit frames, then to the earliest restart.
     """
-    _check_counts(0, restarts=restarts, iters=iters)
+    _check_counts(0, restarts=restarts, iters=iters, seed=seed)
     best_val, best_frame = None, None
     for _, fr in explicit_frames(d, k):
         val = frame_overlap(fr)
@@ -478,6 +478,7 @@ def block_positivity_falsifier(
     tol finite and >= 0.
     """
     _check_tolerances(tol)
+    _check_counts(0, seed=seed)
     _check_counts(1, iters=iters)
     X, d = _as_bipartite_hermitian(X)
     region_case(d, k)
@@ -538,6 +539,7 @@ def duality_sanity(d: int, samples: int = 1000, seed: int = 0) -> OracleReport:
     if d > 4:
         raise ValueError("duality sanity is desk-scale only (d <= 4)")
     _check_counts(2, samples=samples)  # one sample of each pairing
+    _check_counts(0, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(11, d)))
     worst = np.inf
     lo = -1.0 / (d - 1) - 0.3
@@ -656,6 +658,7 @@ def grid_agreement(
     box finite.  d must be an integer >= 2.
     """
     region_case(d, 1)
+    _check_counts(0, seed=seed)
     if workers is None:
         workers = default_workers()
     _check_counts(1, grid_n=grid_n, n_random=n_random, workers=workers)
@@ -743,6 +746,7 @@ def witness_grid_check(
 def frame_minima_check(d: int, restarts: int = 50, iters: int = 150, seed: int = 0) -> OracleReport:
     """Explicit frames attain max(2k-d, 0); optimization never beats the floor."""
     region_case(d, 1)
+    _check_counts(0, seed=seed)
     failures = []
     minima = {}
     for k in range(1, d + 1):
@@ -764,12 +768,14 @@ def twirl_consistency(
     n_ops: int = 20,
     n_samples: int = 100_000,
     seed: int = 0,
-    tol: float = 1e-2,
 ) -> OracleReport:
-    """Monte-Carlo twirl vs exact projection on random unit-norm Hermitian inputs; tol finite, >= 0."""
+    """Monte-Carlo twirl vs exact projection on random unit-norm Hermitian inputs.
+
+    Violated at a Frobenius error above sqrt(10 / n_samples), 1e-2 at the default count.
+    """
     region_case(d, 1)
-    _check_tolerances(tol)
-    _check_counts(1, n_ops=n_ops)
+    _check_counts(0, seed=seed)
+    _check_counts(1, n_ops=n_ops, n_samples=n_samples)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7, d)))
     worst = 0.0
     worst_op = None
@@ -783,7 +789,7 @@ def twirl_consistency(
         if err > worst:
             worst, worst_op = err, i
     return OracleReport(
-        {"operator_index": worst_op, "frobenius_error": worst} if worst > tol else None,
+        {"operator_index": worst_op, "frobenius_error": worst} if worst > np.sqrt(10 / n_samples) else None,
         samples=n_ops,
         worst_margin=float(worst),
         details={"d": d, "n_samples": n_samples, "max_frobenius_error": worst},

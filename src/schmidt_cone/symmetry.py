@@ -169,6 +169,7 @@ def twirl_monte_carlo(X, n_samples: int, seed: int = 0) -> np.ndarray:
     contraction of length m d^2.
     """
     _check_counts(1, n_samples=n_samples)
+    _check_counts(0, seed=seed)
     X, d = _as_bipartite_hermitian(X)
     d2 = d * d
     parts = np.concatenate([X.real, X.imag])  # (2 d^2, d^2)

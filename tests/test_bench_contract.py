@@ -111,3 +111,27 @@ def test_every_traced_numpy_kernel_is_still_called_by_the_package():
                 called.add(f.attr)
     kernels = _literal("tracing.py", "_KERNELS")
     assert kernels and not set(kernels) - called
+
+
+def test_the_dual_ellipse_is_fitted_once_through_the_traced_name(monkeypatch):
+    # the bench counts calls of geometry.conic_through_five_points, wrapped on
+    # the module global, and needs that count above 0; every dual accessor
+    # reads one cached record, so one case-3 (d, k) costs exactly one fit
+    geometry = _module("geometry")
+    calls = []
+    fit = geometry.conic_through_five_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "conic_through_five_points", counted)
+    geometry._dual.cache_clear()
+    geometry.dual_conic.cache_clear()
+    d, k = 7, 5
+    geometry.dual_tangency_points(d, k)
+    geometry.dual_tangency_points(d, k, exact=False)
+    geometry.dual_tangent_lines(d, k)
+    geometry.dual_conic(d, k, exact=True)
+    geometry.dual_conic(d, k, exact=False)
+    assert len(calls) == 1

@@ -333,6 +333,16 @@ def test_vacuous_verification_is_a_usage_error(capsys, argv, err):
     assert captured.out == "" and captured.err == err
 
 
+@pytest.mark.parametrize("suite", ["tomiyama", "frames", "twirl", "duality"])
+def test_a_negative_seed_is_a_usage_error_that_names_the_seed(capsys, suite):
+    # numpy's own refusal, "expected non-negative integer", named no argument
+    argv = ["verify", "--suite", suite, "--d", "3", "--seed", "-1", "--grid", "3", "--frames", "2",
+            "--workers", "1", "--samples", "10"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: seed must be >= 0, got -1\n"
+
+
 def test_verify_with_every_suite_skipped_is_a_usage_error(capsys):
     # the duality suite only runs up to d = 4; alone it used to report {} and exit 0
     assert main(["verify", "--suite", "duality", "--d", "5"]) == 2

@@ -260,6 +260,38 @@ def test_conic_five_points_random_refit_round_trip():
         assert cos_sim >= 1 - 1e-9
 
 
+_UNIT_CIRCLE = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.6, 0.8)]
+
+
+def test_float_fit_of_a_circle_far_from_the_origin():
+    # an unscaled SVD read these points as a degenerate configuration
+    conic = conic_through_five_points([(x + 1e4, y) for x, y in _UNIT_CIRCLE], interior=(1e4, 0.0))
+    assert all(type(c) is float for c in conic)
+    assert abs(conic.B / conic.A) < 1e-9
+    assert abs(conic.C / conic.A - 1) < 1e-9
+    assert conic(1e4, 0.0) < 0
+
+
+@pytest.mark.parametrize("real", [float, np.float32, np.float64])
+def test_float_fit_accepts_python_and_numpy_floats(real):
+    pts = [(real(x), real(y)) for x, y in _UNIT_CIRCLE]
+    conic = conic_through_five_points(pts, interior=(real(0), real(0)))
+    assert all(type(c) is float for c in conic)
+    assert max(abs(c) for c in conic) == 1.0
+    assert conic.A == pytest.approx(1.0) and conic.C == pytest.approx(1.0) and conic.F == -1.0
+    assert abs(conic.B) < 1e-6 and conic.D == conic.E == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_float_fit_of_points_at_extreme_scales(scale):
+    # the integer fit is scaled down exactly, so no float overflows on the way
+    conic = conic_through_five_points([(x * scale, y * scale) for x, y in _UNIT_CIRCLE], interior=(0.0, 0.0))
+    assert all(type(c) is float and math.isfinite(c) for c in conic)
+    assert max(abs(c) for c in conic) == 1.0
+    assert conic.A == pytest.approx(conic.C) and conic.A * conic.F < 0
+    assert conic.F / conic.A == pytest.approx(-scale * scale)
+
+
 def _exact_fit_lines():
     """One line per exact five-point fit: the inputs and the conic's repr or the error.
 

@@ -40,7 +40,7 @@ from schmidt_cone.oracles import (
     _overlap_gradient,
     _relative_min_eig,
 )
-from schmidt_cone.symmetry import CovariantMap, InvariantState
+from schmidt_cone.symmetry import CovariantMap, InvariantState, twirl_monte_carlo
 from schmidt_cone.classify import schmidt_number
 
 
@@ -523,11 +523,33 @@ def test_twirl_consistency_refuses_no_operators(n_ops):
         twirl_consistency(3, n_ops=n_ops, n_samples=10)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12, True])
-def test_twirl_consistency_refuses_a_bad_tolerance(tol):
-    # with tol = nan no error is above it, so the run used to read consistent
-    with pytest.raises(ValueError):
-        twirl_consistency(2, n_ops=1, n_samples=10, tol=tol)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_twirl_consistency_threshold_follows_the_sample_count(d):
+    # a fixed 1e-2 read Monte-Carlo noise at 10,000 samples as a violation
+    rep = twirl_consistency(d, n_samples=10_000)
+    assert rep.consistent, rep.worst_margin
+    assert rep.worst_margin > 1e-2
+
+
+_SEEDED = {
+    "grid_agreement": lambda seed: grid_agreement(3, grid_n=2, n_random=1, seed=seed, workers=1),
+    "tomiyama_check": lambda seed: tomiyama_check(3, 0.1, 0.1, 2, n_random=1, seed=seed),
+    "frame_overlap_minimize": lambda seed: frame_overlap_minimize(3, 2, restarts=1, iters=1, seed=seed),
+    "frame_minima_check": lambda seed: frame_minima_check(3, restarts=1, iters=1, seed=seed),
+    "duality_sanity": lambda seed: duality_sanity(2, samples=2, seed=seed),
+    "twirl_consistency": lambda seed: twirl_consistency(2, n_ops=1, n_samples=10, seed=seed),
+    "twirl_monte_carlo": lambda seed: twirl_monte_carlo(np.eye(4), 2, seed=seed),
+    "block_positivity_falsifier": lambda seed: block_positivity_falsifier(np.eye(4), 1, iters=1, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+@pytest.mark.parametrize("entry", list(_SEEDED))
+def test_every_seeded_entry_point_refuses_a_seed_that_is_not_a_count(entry, seed):
+    # -1 ran the grid and failed elsewhere with numpy's unnamed "expected
+    # non-negative integer"; True ran as seed 1, and 1.5 ran the Monte-Carlo twirl
+    with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed!r}"):
+        _SEEDED[entry](seed)
 
 
 @pytest.mark.parametrize("band", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12, True])
