@@ -206,6 +206,7 @@ def kpos_conic(d: int, k: int, exact: bool = False) -> Conic:
     _check_integer(k, "k")
     if d < 2:
         raise ValueError("d must be >= 2")
+    d, k = int(d), int(k)  # a numpy integer would overflow
     coeffs = (
         k * d - 1,
         -(d**3 - k * d**2 - k * d - d + 2),
@@ -378,6 +379,7 @@ def _dual(d: int, k: int) -> _Dual:
     """
     if region_case(d, k) != 3:
         raise ValueError(f"k={k} out of range d/2 < k < d for d={d}")
+    d, k = int(d), int(k)  # a numpy integer would overflow
     D2 = d * d + d - 2
     corners = _vertices("state", d, k, True)
     pts = (
@@ -606,6 +608,7 @@ def _meet(g: HalfPlane, h: HalfPlane) -> tuple:
 @lru_cache(maxsize=None, typed=True)
 def _vertices(kind: str, d: int, k: int, exact: bool) -> tuple:
     row = _REGIONS[kind, region_case(d, k)]
+    d, k = int(d), int(k)  # a numpy integer would overflow
     lines = _halfplanes(row.slacks, d, k)
     if row.ends is None:
         pts = [_meet(lines[i - 1], lines[i]) for i in range(len(lines))]

@@ -62,11 +62,20 @@ __all__ = [
 
 
 def default_workers() -> int:
-    """Pool worker count: the CPUs this process may run on, capped by SCHMIDT_CONE_THREADS."""
+    """Pool worker count: the CPUs this process may run on, capped by SCHMIDT_CONE_THREADS.
+
+    A set, non-empty cap that is not an integer >= 1 is refused.
+    """
     n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     cap = os.environ.get("SCHMIDT_CONE_THREADS")
     if cap:
-        n = max(1, min(n, int(cap)))
+        try:
+            limit = int(cap)
+        except ValueError:
+            limit = 0
+        if limit < 1:
+            raise ValueError(f"SCHMIDT_CONE_THREADS must be an integer >= 1, got {cap!r}")
+        n = min(n, limit)
     return n
 
 
@@ -189,21 +198,16 @@ def _all_psd_fast(
 ) -> bool:
     """Whether the compressions of all frames V at (p, q) are PSD, to tolerance tol.
 
-    Batched Cholesky of the matrices shifted by tol times their Frobenius
-    norm, a cheap spectral-norm upper bound, so it can only be more permissive
-    than the eigenvalue test by at most that norm gap; callers keep a boundary
-    band far wider.  The matrices are built in the workspace M (F is scratch,
-    see _compressions) and shifted in place, so when Cholesky fails they are
-    built again for the eigenvalue test.
+    One batched Cholesky of the matrices shifted by tol >= 0 on the diagonal:
+    the eigenvalue test passes when lambda_min >= -tol max(1, max|lambda|), a
+    bound at most -tol, so a success implies it, up to Cholesky's rounding.
+    The matrices are built in the workspace M (F is scratch, see
+    _compressions) and shifted in place, so when Cholesky fails they are
+    built again and the eigenvalue test decides.
     """
     _compressions(M, F, V, p, q, d)
-    sq = F.view(float).reshape(2, *M.shape)  # F's memory as two float stacks
-    np.square(M.real, out=sq[0])
-    np.square(M.imag, out=sq[1])
-    sq[0] += sq[1]
-    scale = np.maximum(1.0, np.sqrt(np.sum(sq[0], axis=(-2, -1))))
     diag = np.einsum("...ii->...i", M)
-    diag += (tol * scale)[..., None]
+    diag += tol
     try:
         np.linalg.cholesky(M)
         return True

@@ -219,6 +219,14 @@ def test_numpy_integer_d_and_k_give_the_python_int_answer():
                 got = member(np.int64(d), x, y, np.int32(k))
                 assert got == want and type(got.margin) is Fraction
         assert schmidt_number(np.int64(d), x, y).per_k == schmidt_number(d, x, y).per_k
+    # the cached case-3 conic and corners used to be built in int64, which
+    # overflows from d = 32 on: the float query raised and the corners drifted
+    for a, b in [(0.01, 0.0), (Fraction(1, 100), Fraction(0))]:
+        got = schmidt_membership(np.int64(40), a, b, np.int64(30))
+        assert got == schmidt_membership(40, a, b, 30)
+    d, k = 10**4, 10**4 - 1
+    got = state_region_vertices(np.int64(d), np.int64(k), exact=True)
+    assert got == state_region_vertices(d, k, exact=True)
 
 
 def _exact_verdict_lines():

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from schmidt_cone import oracles
 from schmidt_cone.classify import is_k_positive
-from schmidt_cone.geometry import map_region_boundary
+from schmidt_cone.geometry import map_region_boundary, map_region_vertices
 from schmidt_cone.linalg import is_psd, max_entangled, pairing
 from schmidt_cone.oracles import (
     Frame,
@@ -677,10 +678,10 @@ def test_grid_agreement_cholesky_fallback_gives_the_same_report(monkeypatch, see
 
 
 def test_all_psd_fast_fallback_sees_the_unshifted_compressions(monkeypatch):
-    # The Cholesky test shifts the workspace's diagonal by tol times the
-    # Frobenius norm.  When it fails, the eigenvalue test must see the
-    # compressions without that shift: near the boundary, outside it, the
-    # shifted matrices would pass where the compressions themselves fail.
+    # The Cholesky test shifts the workspace's diagonal by tol.  When it
+    # fails, the eigenvalue test must see the compressions without that
+    # shift: near the boundary, outside it, the shifted matrices would pass
+    # where the compressions themselves fail.
     def failing_cholesky(a):
         raise np.linalg.LinAlgError("forced failure")
 
@@ -690,14 +691,55 @@ def test_all_psd_fast_fallback_sees_the_unshifted_compressions(monkeypatch):
         V = random_frames(d, k, 20, np.random.default_rng(d + k))
         M = np.empty((20, k * d, k * d), dtype=complex)
         F = np.empty_like(M)
-        for p, q in _probe_points(d, k):
+        points = _probe_points(d, k) + ([_JUST_OUTSIDE] if (d, k) == (3, 2) else [])
+        for p, q in points:
             fresh = _compressions(np.empty_like(M), np.empty_like(M), V, p, q, d)
             expected = bool(np.all(_relative_min_eig(fresh) >= -tol))
-            norm = np.sqrt(np.sum(np.abs(fresh) ** 2, axis=(-2, -1)))
-            fresh[:, np.arange(k * d), np.arange(k * d)] += (tol * np.maximum(1.0, norm))[:, None]
+            fresh[:, np.arange(k * d), np.arange(k * d)] += tol
             shifted_differs += bool(np.all(_relative_min_eig(fresh) >= -tol)) != expected
             assert _all_psd_fast(M, F, V, p, q, d, tol) == expected
     assert shifted_differs
+
+
+# At d = 3, k = 2 and tol = 1e-2 the seed-5 frames' smallest relative
+# eigenvalue here is -0.0108: just past the rule, inside the tolerance that
+# a shift by tol times the Frobenius norm used to grant.
+_JUST_OUTSIDE = (-0.003, -0.509)
+
+
+def _psd_rule(V, p, q, d, tol):
+    """The eigenvalue rule that _all_psd_fast stands in for, on fresh compressions."""
+    shape = (len(V), V.shape[2] * d, V.shape[2] * d)
+    fresh = _compressions(np.empty(shape, complex), np.empty(shape, complex), V, p, q, d)
+    return bool(np.all(_relative_min_eig(fresh) >= -tol))
+
+
+def test_all_psd_fast_refuses_what_the_eigenvalue_rule_refuses():
+    V = random_frames(3, 2, 20, np.random.default_rng(5))
+    M = np.empty((20, 6, 6), dtype=complex)
+    p, q = _JUST_OUTSIDE
+    assert not _psd_rule(V, p, q, 3, 1e-2)
+    assert _all_psd_fast(M, np.empty_like(M), V, p, q, 3, 1e-2) is False
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-3])
+@pytest.mark.parametrize("d, k", [(3, 2), (4, 2), (4, 3)])
+def test_all_psd_fast_is_the_eigenvalue_rule_across_the_boundary(d, k, tol):
+    # rays from the centroid of the corners through each corner, from the
+    # corner to 20% past it, where the compressions cross -tol
+    V = random_frames(d, k, 20, np.random.default_rng(d + k))
+    M = np.empty((20, k * d, k * d), dtype=complex)
+    F = np.empty_like(M)
+    corners = map_region_vertices(d, k)
+    cx = sum(x for x, _ in corners) / len(corners)
+    cy = sum(y for _, y in corners) / len(corners)
+    differs = []
+    for x, y in corners:
+        for t in np.linspace(1.0, 1.2, 81).tolist():
+            p, q = cx + t * (x - cx), cy + t * (y - cy)
+            if _all_psd_fast(M, F, V, p, q, d, tol) != _psd_rule(V, p, q, d, tol):
+                differs.append((p, q))
+    assert differs == []
 
 
 @pytest.mark.parametrize("name", ["tol", "band"])
@@ -826,3 +868,20 @@ def test_default_workers_counts_the_cpus_in_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(oracles.os, "cpu_count", lambda: 8)
     monkeypatch.delenv("SCHMIDT_CONE_THREADS", raising=False)
     assert oracles.default_workers() == 1
+
+
+@pytest.mark.parametrize("cap", ["abc", "1.5", "0", "-2"])
+def test_default_workers_refuses_a_cap_that_is_not_a_count(monkeypatch, cap):
+    # the cap used to fail with int()'s message, which does not name the
+    # variable, or, at 0 and below, to run with one worker
+    monkeypatch.setenv("SCHMIDT_CONE_THREADS", cap)
+    message = f"SCHMIDT_CONE_THREADS must be an integer >= 1, got '{cap}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracles.default_workers()
+
+
+def test_default_workers_takes_the_cap_below_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(oracles.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(oracles.os, "cpu_count", lambda: 8)
+    monkeypatch.setenv("SCHMIDT_CONE_THREADS", "3")
+    assert oracles.default_workers() == 3
