@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 __all__ = [
     "Conic",
@@ -99,6 +99,26 @@ def _check_integer(v, name: str):
 
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def _cached(fn):
+    """fn under lru_cache, its leading (d, k) checked to be integers first.
+
+    The cache hashes its arguments before fn runs, so without the check an
+    unhashable d or k, such as a 0-d numpy array, raised ``TypeError`` there
+    instead of the ``ValueError`` that region_case gives.
+    """
+    cached = lru_cache(maxsize=None, typed=True)(fn)
+
+    @wraps(cached)
+    def checked(d, k, *args, **kwargs):
+        if type(d) is not int or type(k) is not int:
+            _check_integer(d, "d")
+            _check_integer(k, "k")
+        return cached(d, k, *args, **kwargs)
+
+    checked.cache_clear = cached.cache_clear
+    return checked
 
 
 def _check_counts(least: int, **counts):
@@ -193,7 +213,7 @@ class Conic(namedtuple("Conic", "A B C D E F")):
         return "parabola"
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached
 def kpos_conic(d: int, k: int, exact: bool = False) -> Conic:
     """The boundary conic of the k-positivity region (integer coefficients).
 
@@ -202,8 +222,6 @@ def kpos_conic(d: int, k: int, exact: bool = False) -> Conic:
     d/2 < k < d.  Built once per (d, k, exact): every float classification in
     case 3 evaluates it, and a Conic is frozen, so callers share it.
     """
-    _check_integer(d, "d")
-    _check_integer(k, "k")
     if d < 2:
         raise ValueError("d must be >= 2")
     d, k = int(d), int(k)  # a numpy integer would overflow
@@ -367,7 +385,7 @@ def conic_through_five_points(points, interior=None) -> Conic:
 _Dual = namedtuple("_Dual", "points lines conic")
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached
 def _dual(d: int, k: int) -> _Dual:
     """The case-3 dual ellipse, built once per (d, k).
 
@@ -381,7 +399,7 @@ def _dual(d: int, k: int) -> _Dual:
         raise ValueError(f"k={k} out of range d/2 < k < d for d={d}")
     d, k = int(d), int(k)  # a numpy integer would overflow
     D2 = d * d + d - 2
-    corners = _vertices("state", d, k, True)
+    corners = _vertices(d, k, "state", True)
     pts = (
         (Fraction(-d, k * D2), Fraction(d * d - k * d + d - 2 * k, k * D2)),
         (Fraction(d * d - k * d + d - k - 1, D2), Fraction(-(d - k + 1), D2)),
@@ -406,7 +424,7 @@ def dual_tangent_lines(d: int, k: int) -> list[HalfPlane]:
     return list(_dual(d, k).lines)
 
 
-@lru_cache(maxsize=None, typed=True)
+@_cached
 def dual_conic(d: int, k: int, exact: bool = True) -> Conic:
     """The dual ellipse: primitive integer coefficients, or floats scaled to max 1."""
     conic = _dual(d, k).conic
@@ -605,8 +623,8 @@ def _meet(g: HalfPlane, h: HalfPlane) -> tuple:
     return (Fraction(g.c * h.ny - h.c * g.ny, det), Fraction(g.nx * h.c - h.nx * g.c, det))
 
 
-@lru_cache(maxsize=None, typed=True)
-def _vertices(kind: str, d: int, k: int, exact: bool) -> tuple:
+@_cached
+def _vertices(d: int, k: int, kind: str, exact: bool) -> tuple:
     row = _REGIONS[kind, region_case(d, k)]
     d, k = int(d), int(k)  # a numpy integer would overflow
     lines = _halfplanes(row.slacks, d, k)
@@ -620,12 +638,12 @@ def _vertices(kind: str, d: int, k: int, exact: bool) -> tuple:
 
 def map_region_vertices(d: int, k: int, exact: bool = False) -> list[tuple]:
     """Corner points of the k-positivity region, in traversal order."""
-    return list(_vertices("map", d, k, exact))
+    return list(_vertices(d, k, "map", exact))
 
 
 def state_region_vertices(d: int, k: int, exact: bool = False) -> list[tuple]:
     """Corner points of the Schmidt-number-<=k region, in traversal order."""
-    return list(_vertices("state", d, k, exact))
+    return list(_vertices(d, k, "state", exact))
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +707,7 @@ def conic_arc_points(conic: Conic, start, end, n: int, anchor) -> list[tuple]:
 def _region_boundary(kind: str, d: int, k: int, arc_samples: int) -> RegionBoundary:
     row = _REGIONS[kind, region_case(d, k)]
     _check_counts(2, arc_samples=arc_samples)  # in every case, with or without an arc to sample
-    verts = _vertices(kind, d, k, False)
+    verts = _vertices(d, k, kind, False)
     if row.conic is None:
         return RegionBoundary(vertices=verts)
     conic = row.conic(d, k, False)

@@ -137,14 +137,18 @@ def random_frames(d: int, k: int, n: int, rng: np.random.Generator) -> np.ndarra
     """n Haar-random frames as an (n, d, k) array (first k columns of unitaries).
 
     Draws the (n, d, d) complex Gaussian of a Haar unitary (Mezzadri 2007) but
-    orthonormalises only its first k columns: in the Gram-Schmidt kernel
-    (linalg._haar_qr) column j reads only columns 1..j, so these are the first
-    k columns of that unitary.
+    forms and orthonormalises only its first k columns: in the Gram-Schmidt
+    kernel (linalg._haar_qr) column j reads only columns 1..j, so these are
+    the first k columns of that unitary.
     """
     region_case(d, k)
     _check_counts(0, n=n)
-    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-    return _haar_qr(g[:, :, :k])
+    a = rng.standard_normal((n, d, d))
+    b = rng.standard_normal((n, d, d))
+    g = np.empty((n, d, k), dtype=complex)
+    g.real = a[..., :k]
+    g.imag = b[..., :k]
+    return _haar_qr(g)
 
 
 # ---------------------------------------------------------------------------
@@ -598,17 +602,26 @@ def _grid_task(args) -> dict:
     for ix in rows:
         cols = np.nonzero(np.abs(margins[ix]) > band)[0]
         checked += cols.size
-        # every explicit frame at every non-band point of the row, one eigvalsh
-        # call; the row's stacks are fresh arguments, so they stay temporaries
-        shape = (cols.size, len(expl), k * d, k * d)
-        expl_margins = _relative_min_eig(_compressions(
-            np.empty(shape, complex), np.empty(shape, complex), expl, P[ix, cols], Q[ix, cols], d
-        ))
-        row_violated = np.any(expl_margins < -tol, axis=-1)
-        # exterior points certified by an explicit frame are done
-        todo = ~(row_violated & (margins[ix, cols] < 0))
-        for iy, point_margins, expl_violated in zip(
-            cols[todo].tolist(), expl_margins[todo], row_violated[todo].tolist()
+        inside = margins[ix] > 0
+        worst = np.full(grid_n, np.inf)
+        violated = np.zeros(grid_n, dtype=bool)
+        live = cols  # the points the next explicit frame tests
+        # one explicit frame at a time, one eigvalsh call each: every interior
+        # point sees every frame, an exterior point stops at its first
+        # violating one; the stacks are fresh arguments, so they stay temporaries
+        for frame in expl[:, None]:
+            if not live.size:
+                break
+            shape = (live.size, 1, k * d, k * d)
+            frame_margins = _relative_min_eig(_compressions(
+                np.empty(shape, complex), np.empty(shape, complex), frame,
+                P[ix, live], Q[ix, live], d,
+            ))[:, 0]
+            worst[live] = np.minimum(worst[live], frame_margins)
+            violated[live] |= frame_margins < -tol
+            live = live[inside[live] | ~violated[live]]
+        for iy, point_worst, expl_violated in zip(
+            live.tolist(), worst[live].tolist(), violated[live].tolist()
         ):
             margin = margins[ix, iy]
             p, q = float(P[ix, iy]), float(Q[ix, iy])
@@ -617,7 +630,7 @@ def _grid_task(args) -> dict:
             )
             V = random_frames(d, k, n_random, rng)
             if margin > 0:
-                worst_inside = min(worst_inside, float(np.min(point_margins)))
+                worst_inside = min(worst_inside, point_worst)
                 ok = not expl_violated and _all_psd_fast(M, F, V, p, q, d, tol)
                 if not ok:
                     disagreements.append(

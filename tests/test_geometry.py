@@ -54,6 +54,18 @@ def test_cached_builders_refuse_a_non_integer_d_or_k(d, k):
             build(d, k)
 
 
+@pytest.mark.parametrize("d,k", [(np.array(4), 3), (np.array(5), 3), (5, np.array(3))])
+@pytest.mark.parametrize(
+    "build",
+    [kpos_conic, map_region_vertices, state_region_vertices, dual_conic, dual_tangency_points,
+     dual_tangent_lines],
+)
+def test_cached_builders_refuse_an_unhashable_d_or_k_as_region_case_does(build, d, k):
+    # a 0-d array used to reach the cache, which raised TypeError on hashing it
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(d, k)
+
+
 def test_kpos_conic_d5_matches_display():
     for k in (3, 4):
         expected = (5 * k - 1, -(122 - 30 * k), 4, -(5 * k - 2), -3, -1)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from schmidt_cone import oracles
-from schmidt_cone.classify import is_k_positive
+from schmidt_cone.classify import is_k_positive, kpos_margin_grid
 from schmidt_cone.geometry import map_region_boundary, map_region_vertices
-from schmidt_cone.linalg import is_psd, max_entangled, pairing
+from schmidt_cone.linalg import _haar_qr, is_psd, max_entangled, pairing
 from schmidt_cone.oracles import (
     Frame,
     OracleReport,
@@ -122,6 +122,16 @@ def test_random_frames_are_leading_columns_of_haar_unitaries():
             U = U * (diag / np.abs(diag)).conj()[:, None, :]
             assert V.shape == (5, d, k)
             assert np.max(np.abs(V - U[:, :, :k])) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_random_frames_keep_the_bits_of_the_full_draw(d):
+    # only the k kept columns of the Gaussian are formed, from the same draws
+    for k in range(1, d + 1):
+        V = random_frames(d, k, 7, np.random.default_rng(d + 100 * k))
+        rng = np.random.default_rng(d + 100 * k)
+        a, b = rng.standard_normal((7, d, d)), rng.standard_normal((7, d, d))
+        assert np.array_equal(V, _haar_qr((a + 1j * b)[:, :, :k]))
 
 
 def test_tomiyama_check_interior_point():
@@ -683,6 +693,48 @@ def test_grid_task_matches_the_pinned_digest(monkeypatch):
                         counts[x["classifier"]] += 1
     assert counts == {"outside": 26, "inside": 40, "random_only": 3}
     assert h.hexdigest() == "6e7fdb3a741026f84d5324ce118fd5d412afbc67848033ce8080c2a5d0ecd12b"
+
+
+@pytest.mark.parametrize("d, grid_n, matrices", [(4, 50, 14143), (6, 34, 8713)])
+def test_grid_explicit_frames_stop_at_an_exterior_points_first_violation(
+    monkeypatch, d, grid_n, matrices
+):
+    # The explicit frames of a row run one at a time, as (points, 1) stacks;
+    # an exterior point that one of them certifies is tested by no later one.
+    # Which points each frame sees depends on the grid alone, not the seed.
+    relative_min_eig, compressions = oracles._relative_min_eig, oracles._compressions
+    calls = []  # [k, p, the row's q values, their margins] per explicit frame
+
+    def recording_compressions(M, F, V, p, q, d):
+        if np.ndim(p):  # a row of points against one explicit frame
+            assert len(V) == 1
+            calls.append([V.shape[2], float(p[0]), np.array(q)])
+        return compressions(M, F, V, p, q, d)
+
+    def recording_min_eig(Ms):
+        out = relative_min_eig(Ms)
+        if Ms.ndim == 4:
+            calls[-1].append(out[:, 0])
+        return out
+
+    monkeypatch.setattr(oracles, "_compressions", recording_compressions)
+    monkeypatch.setattr(oracles, "_relative_min_eig", recording_min_eig)
+    tol = 1e-9
+    grid_agreement(d, grid_n=grid_n, n_random=1, seed=grid_n, tol=tol, workers=1)
+    assert sum(len(q) for _, _, q, _ in calls) == matrices
+    rows = {}
+    for k, p, q, frame_margins in calls:
+        rows.setdefault((k, p), []).append((q, frame_margins))
+    stopped = 0
+    for (k, p), frames in rows.items():
+        assert 1 <= len(frames) <= len(explicit_frames(d, k))
+        certified = set()
+        for q, frame_margins in frames:
+            assert certified.isdisjoint(q.tolist())
+            outside = kpos_margin_grid(d, k, np.full_like(q, p), q) < 0
+            certified.update(q[outside & (frame_margins < -tol)].tolist())
+        stopped += len(certified)
+    assert stopped > 0
 
 
 @pytest.mark.parametrize("seed", [0, 7])
