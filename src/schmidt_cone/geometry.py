@@ -543,6 +543,8 @@ def _region(*lines, **conic) -> _Region:
 
 
 _TRIANGLE = _region(_L1, _L8, _L5)  # k = d: the map and state regions coincide
+# every reader of the table has run region_case, so the conics are its caches
+# themselves (__wrapped__), without the integer check in front of them
 _REGIONS = {
     ("map", 1): _region(_L1, _L4, _L2, _L3),
     ("map", 2): _region(_L1, _L6, _L7, _L5),
@@ -550,7 +552,7 @@ _REGIONS = {
         _L5,
         _L1,
         _L6,
-        conic=kpos_conic,
+        conic=kpos_conic.__wrapped__,
         ends=lambda d, k: (
             (Fraction(-1, k * d - 1), Fraction(0)),
             (Fraction(-2, d * d + d - 2), Fraction(d, d * d + d - 2)),
@@ -566,7 +568,7 @@ _REGIONS = {
         _L5,
         _L11,
         _CHORD,
-        conic=dual_conic,
+        conic=dual_conic.__wrapped__,
         union=True,
         anchor=lambda d, k: dual_tangency_points(d, k, exact=False)[0],
     ),

@@ -8,10 +8,12 @@ twirl consistency, and small-dimension cone-duality sanity sampling.
 The frame-compression matrices A I + p kP + q Fv of a stack of frames have one
 assembly, _compressions, for one point or a row of points; tomiyama_check,
 the grid's explicit-frame rows and its per-point random frames all use it, and
-tomiyama_matrix is its literal reference.  The protocols are embarrassingly
-parallel over grid points; each point draws its own frames from a
-counter-derived seed, so results are independent of scheduling and worker
-count.
+tomiyama_matrix is its literal reference.  The grid tests a row's explicit
+frames one at a time, in the order of explicit_frames: an exterior point
+stops at its first violating frame, an interior point sees them all.  The
+protocols are embarrassingly parallel over grid points; each point draws its
+own frames from a counter-derived seed, so results are independent of
+scheduling and worker count.
 
 A report is violated exactly when it carries a witness: each suite names
 what it found against the closed forms, and a consistent run names nothing.
@@ -669,8 +671,11 @@ def grid_agreement(
     fresh Haar frames (seeded per point) are tested.  A disagreement is an
     interior point with any violating frame, or an exterior point with none.
     Exterior violations found only by random frames are counted as findings,
-    not disagreements.  The explicit frames are assembled once per row, the
-    random ones into a per-task workspace, both by _compressions.  grid_n,
+    not disagreements.  The explicit frames run one at a time over a row's
+    points, each as one stack: an exterior point that a frame certifies
+    leaves the row's later frames, an interior point meets every frame.  The
+    random frames go into a per-task workspace; both assemble by
+    _compressions.  grid_n,
     n_random and workers must be at least 1; band and tol finite and >= 0;
     box finite.  d must be an integer >= 2.
     """
