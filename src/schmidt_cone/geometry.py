@@ -112,9 +112,8 @@ def _cached(fn):
 
     @wraps(cached)
     def checked(d, k, *args, **kwargs):
-        if type(d) is not int or type(k) is not int:
-            _check_integer(d, "d")
-            _check_integer(k, "k")
+        _check_integer(d, "d")
+        _check_integer(k, "k")
         return cached(d, k, *args, **kwargs)
 
     checked.cache_clear = cached.cache_clear
