@@ -18,7 +18,9 @@ whenever the inputs are rationals.  The five-point fit and exact margins work
 on the integer numerators of each point over its common denominator (as w):
 the fit by fraction-free integer elimination, the margins by the same table
 rows, so boundary classification never depends on rounding.  Arc sampling is
-always floating point.  The record types are immutable named tuples.
+always floating point.  The record types are immutable named tuples, so a
+boundary and the polyline traced from it are built once and shared (the last
+64 of each are kept per process).
 """
 
 from __future__ import annotations
@@ -705,9 +707,14 @@ def conic_arc_points(conic: Conic, start, end, n: int, anchor) -> list[tuple]:
     return pts
 
 
-def _region_boundary(kind: str, d: int, k: int, arc_samples: int) -> RegionBoundary:
+# Region boundaries kept per process, and polylines traced from them: the 54
+# (kind, d, k) of d <= 7 at one sample count fit, as do the query mix's 36.
+_KEPT = 64
+
+
+@lru_cache(maxsize=_KEPT)
+def _built_boundary(kind: str, d: int, k: int, arc_samples: int) -> RegionBoundary:
     row = _REGIONS[kind, region_case(d, k)]
-    _check_counts(2, arc_samples=arc_samples)  # in every case, with or without an arc to sample
     verts = _vertices(d, k, kind, False)
     if row.conic is None:
         return RegionBoundary(vertices=verts)
@@ -717,42 +724,82 @@ def _region_boundary(kind: str, d: int, k: int, arc_samples: int) -> RegionBound
     return RegionBoundary(vertices=verts, arcs=(arc,))
 
 
+def _region_boundary(kind: str, d: int, k: int, arc_samples: int) -> RegionBoundary:
+    """The cached boundary; the arguments are checked first, so an unhashable one is
+    refused with ValueError, and a numpy integer shares the entry of its value."""
+    region_case(d, k)
+    _check_counts(2, arc_samples=arc_samples)  # in every case, with or without an arc to sample
+    return _built_boundary(kind, int(d), int(k), int(arc_samples))
+
+
 def map_region_boundary(d: int, k: int, arc_samples: int = 64) -> RegionBoundary:
-    """Boundary of the k-positivity region with the conic arc sampled."""
+    """Boundary of the k-positivity region with the conic arc sampled.
+
+    Built once per (d, k, arc_samples) and shared: the last ``_KEPT`` are
+    kept, and a call with the same arguments returns the same object.
+    """
     return _region_boundary("map", d, k, arc_samples)
 
 
 def state_region_boundary(d: int, k: int, arc_samples: int = 64) -> RegionBoundary:
-    """Boundary of the Schmidt-number-<=k region with the elliptic arc sampled."""
+    """Boundary of the Schmidt-number-<=k region with the elliptic arc sampled.
+
+    Built once per (d, k, arc_samples) and shared, as ``map_region_boundary``.
+    """
     return _region_boundary("state", d, k, arc_samples)
 
 
-def _traversal_points(rb: RegionBoundary) -> list[tuple]:
-    pts = [(float(x), float(y)) for x, y in rb.vertices]
-    for arc in rb.arcs:
-        pts.extend((float(x), float(y)) for x, y in arc.samples[1:-1])
-    return pts
+# points: the traversal (vertices, then the arc samples between the arc's
+# ends) as float pairs.  edges: rows x0, y0, dx, dy, length over the nonzero
+# edges, from (x0, y0) along (dx, dy) times the orientation (+1 counterclockwise).
+_Polyline = namedtuple("_Polyline", "points edges")
+
+# id(rb) -> (rb, its _Polyline), oldest first.  Keyed on identity, since
+# hashing a boundary walks every sample (about 75 us at 2,048 of them); the
+# entry holds rb, so no other object can take its id while it is kept.
+_polylines: dict = {}
+
+
+def _polyline(rb: RegionBoundary) -> _Polyline:
+    """The traced polyline of rb, built once per boundary object among the last ``_KEPT``."""
+    hit = _polylines.get(id(rb))
+    if hit is None:
+        import numpy as np
+
+        pts = [(float(x), float(y)) for x, y in rb.vertices]
+        for arc in rb.arcs:
+            pts.extend((float(x), float(y)) for x, y in arc.samples[1:-1])
+        ring = list(zip(pts, pts[1:] + pts[:1]))
+        area2 = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in ring)  # the shoelace sum
+        orient = 1.0 if area2 >= 0 else -1.0
+        edges = np.array(
+            [(x0, y0, orient * (x1 - x0), orient * (y1 - y0), math.hypot(x1 - x0, y1 - y0))
+             for (x0, y0), (x1, y1) in ring],
+            dtype=float,
+        ).reshape(-1, 5).T
+        if len(_polylines) >= _KEPT:
+            del _polylines[next(iter(_polylines))]
+        hit = _polylines[id(rb)] = (rb, _Polyline(tuple(pts), edges[:, edges[4] > 0]))
+    return hit[1]
 
 
 def region_contains(rb: RegionBoundary, pt, tol: float = 1e-9) -> bool:
-    """Convex containment test against the polyline (vertices + arc samples)."""
-    pts = _traversal_points(rb)
-    n = len(pts)
-    x, y = float(pt[0]), float(pt[1])
-    # orientation via the shoelace sum
-    area2 = sum(
-        pts[i][0] * pts[(i + 1) % n][1] - pts[(i + 1) % n][0] * pts[i][1] for i in range(n)
-    )
-    orient = 1.0 if area2 >= 0 else -1.0
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
-        cross = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
-        # normalize to a signed distance so tol is edge-length independent
-        edge = math.hypot(x1 - x0, y1 - y0)
-        if edge > 0 and orient * cross < -tol * edge:
-            return False
-    return True
+    """Convex containment test against the polyline (vertices + arc samples).
+
+    pt is inside when no edge has it further than tol outside, measured as a
+    signed distance so that tol does not depend on the edge's length.  The
+    polyline, its orientation and edge lengths are traced once per boundary
+    (see ``_polyline``), and the edges are tested as arrays.  A NaN, infinite
+    or bool coordinate, and a NaN, infinite, negative or bool tol, raise
+    ``ValueError``, as in the classifier.
+    """
+    x, y = pt[0], pt[1]
+    _check_finite(x, y)
+    _check_tolerances(tol)
+    x0, y0, dx, dy, length = _polyline(rb).edges
+    # orientation times the cross product of the edge with the point's offset
+    cross = dx * (float(y) - y0) - dy * (float(x) - x0)
+    return not (cross < -float(tol) * length).any()
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .classify import is_k_positive, kpos_margin_grid, schmidt_margin_grid
-from .geometry import _check_counts, _check_finite, _check_tolerances, _is_exact, _traversal_points
+from .geometry import _check_counts, _check_finite, _check_tolerances, _is_exact, _polyline
 from .geometry import map_region_boundary, region_case, state_region_vertices
 from .linalg import _as_bipartite_hermitian, _haar_qr
 from .symmetry import CovariantMap, InvariantState, apply_channel_right, twirl_exact, twirl_monte_carlo
@@ -424,8 +424,12 @@ def witness_pairing(s: InvariantState, m: CovariantMap):
 
 
 def witness_points(d: int, k: int, arc_samples: int = 256) -> list[tuple[float, float]]:
-    """Extreme points of the k-positivity region: vertices plus arc samples (>= 2)."""
-    return _traversal_points(map_region_boundary(d, k, arc_samples))
+    """Extreme points of the k-positivity region: vertices plus arc samples (>= 2).
+
+    A fresh list of the boundary's traced polyline, the one ``region_contains``
+    tests against; both are built once per (d, k, arc_samples) and process.
+    """
+    return list(_polyline(map_region_boundary(d, k, arc_samples)).points)
 
 
 def witness_violation_search(
