@@ -2,7 +2,8 @@
 
 JSON answers go to stdout, diagnostics to stderr.  Exit codes: 0 for a
 well-formed answered query (including domain answers such as not_a_state),
-2 for usage errors (an unreadable --style or unwritable --out included),
+2 for usage errors (an unreadable or malformed --style, a style key outside
+geometry.DEFAULT_SVG_STYLE and an unwritable --out included),
 3 for internal failures or verification inconsistencies.
 Scalars parse as decimals or rationals "n/m"; with --exact they are kept as
 exact rationals and decisions are exact.  Only verify and witness load numpy
@@ -61,14 +62,17 @@ def _cmd_classify(args) -> int:
 
 
 def _load_style(path: str) -> dict:
+    """The key=value lines of a style file; blank lines and # comments are skipped."""
     with open(path) as fh:
         text = fh.read()
     style = {}
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"{path}, line {n}: expected key=value, got {line!r}")
         style[key.strip()] = value.strip()
     return style
 

@@ -148,10 +148,17 @@ def _check_tolerances(*tols):
 class Conic(namedtuple("Conic", "A B C D E F")):
     """Quadratic plane curve A x^2 + B xy + C y^2 + D x + E y + F = 0.
 
-    Coefficients may be ints/Fractions (exact) or floats.
+    Coefficients may be ints/Fractions (exact) or floats; a NaN, infinite or
+    bool one is refused with ``ValueError``, as in ``HalfPlane``.
     """
 
     __slots__ = ()
+
+    def __new__(cls, A, B, C, D, E, F):
+        _check_finite(A, B, C, D, E, F)
+        return super().__new__(cls, A, B, C, D, E, F)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def coefficients(self) -> tuple:
         return tuple(self)
@@ -181,9 +188,10 @@ class Conic(namedtuple("Conic", "A B C D E F")):
         """One of 'ellipse' | 'parabola' | 'hyperbola' | 'degenerate'.
 
         Classified by the sign of B^2 - 4AC, with degeneracy decided by the
-        determinant of the full 3x3 matrix of the quadratic form.
+        determinant of the full 3x3 matrix of the quadratic form, each compared
+        in floats within 1e-12 times the largest coefficient to its degree;
+        int/Fraction coefficients take the same comparisons at tolerance 0.
         """
-        tol = 1e-12  # for float coefficients, relative to the largest one
         A, B, C, D, E, F = self
         disc = B * B - 4 * A * C
         # determinant of [[2A, B, D], [B, 2C, E], [D, E, 2F]]
@@ -192,24 +200,14 @@ class Conic(namedtuple("Conic", "A B C D E F")):
             - B * (2 * B * F - D * E)
             + D * (B * E - 2 * C * D)
         )
-        if _is_exact(*self):
-            if (A == 0 and B == 0 and C == 0) or det3 == 0:
-                return "degenerate"
-            if disc < 0:
-                return "ellipse"
-            if disc > 0:
-                return "hyperbola"
-            return "parabola"
-        scale = max(abs(float(v)) for v in self)
-        if scale == 0.0:
+        tol, num = (0, Fraction) if _is_exact(*self) else (1e-12, float)
+        scale = max(abs(num(v)) for v in self)
+        quadratic = max(abs(num(A)), abs(num(B)), abs(num(C)))
+        if quadratic <= tol * scale or abs(num(det3)) <= tol * scale**3:
             return "degenerate"
-        if max(abs(float(A)), abs(float(B)), abs(float(C))) <= tol * scale:
-            return "degenerate"
-        if abs(float(det3)) <= tol * scale**3:
-            return "degenerate"
-        if float(disc) < -tol * scale**2:
+        if num(disc) < -tol * scale**2:
             return "ellipse"
-        if float(disc) > tol * scale**2:
+        if num(disc) > tol * scale**2:
             return "hyperbola"
         return "parabola"
 
@@ -285,26 +283,24 @@ def witness_halfplane(d: int, p, q) -> HalfPlane:
 def pole_of_tangent(conic: Conic, pt: tuple, tol: float = 1e-9) -> tuple:
     """Pole (w.r.t. the unit circle) of the tangent line to the conic at pt.
 
-    pt must lie on the conic, and it and the conic must be finite.  Raises if
-    the tangent passes through the origin (zero denominator).
+    pt must be finite and lie on the conic, within tol times max(1, largest
+    |coefficient|), and the tangent must miss the origin (denominator 1e-14 or
+    more).  On int/Fraction input both tests run at tolerance 0, exactly.
     """
     x, y = pt
-    _check_finite(x, y, *conic)
+    _check_finite(x, y)
     val = conic(x, y)
     exact = _is_exact(x, y, *conic)
-    if exact:
-        if val != 0:
-            raise ValueError("point does not lie on the conic")
-    else:
-        scale = max(abs(float(c)) for c in conic)
-        if abs(float(val)) > tol * max(1.0, scale):
-            raise ValueError(f"point not on conic (residual {float(val):.3e})")
+    num, tiny = (Fraction, 0) if exact else (float, 1e-14)
+    bound = 0 if exact else tol * max(1.0, *(abs(float(c)) for c in conic))
+    if abs(num(val)) > bound:
+        raise ValueError("point does not lie on the conic" if exact
+                         else f"point not on conic (residual {float(val):.3e})")
     den = conic.D * x + conic.E * y + 2 * conic.F
-    if (exact and den == 0) or (not exact and abs(float(den)) < 1e-14):
+    if den == 0 or abs(num(den)) < tiny:
         raise ValueError("tangent line passes through the origin; pole undefined")
     num_x, num_y = conic.gradient(x, y)
-    if exact:
-        return (-Fraction(num_x, 1) / den, -Fraction(num_y, 1) / den)
+    den = Fraction(den) if exact else den
     return (-num_x / den, -num_y / den)
 
 
@@ -435,23 +431,22 @@ def dual_conic(d: int, k: int, exact: bool = True) -> Conic:
 def tangency_discriminant(conic: Conic, line: HalfPlane):
     """Discriminant of the conic restricted to the boundary line of a half-plane.
 
-    Zero iff the line n.x = c is tangent to the conic.  Exact for exact
-    inputs.  Raises if the restriction is not genuinely quadratic.
+    Zero iff the line n.x = c is tangent to the conic; exact on int/Fraction
+    input.  Raises if the restriction is not genuinely quadratic: its leading
+    coefficient is below 1e-300 (at tolerance 0 on exact input).
     """
-    nx, ny, c = line.nx, line.ny, line.c
+    nx, ny, c = line
     exact = _is_exact(nx, ny, c, *conic)
-    # rational point on the line plus direction (ny, -nx)
-    if ny != 0:
-        x0, y0 = 0, Fraction(c, ny) if exact else c / ny
-    else:
-        x0, y0 = Fraction(c, nx) if exact else c / nx, 0
+    num, tiny = (Fraction, 0) if exact else (float, 1e-300)
+    c = Fraction(c) if exact else c
+    # a point on the line, and the line's direction (ny, -nx)
+    x0, y0 = (0, c / ny) if ny != 0 else (c / nx, 0)
     ux, uy = ny, -nx
-    A, B, C = conic.A, conic.B, conic.C
-    a = A * ux * ux + B * ux * uy + C * uy * uy
+    a = conic.A * ux * ux + conic.B * ux * uy + conic.C * uy * uy
     gx, gy = conic.gradient(x0, y0)
     b = gx * ux + gy * uy
     c0 = conic(x0, y0)
-    if (exact and a == 0) or (not exact and abs(float(a)) < 1e-300):
+    if a == 0 or abs(num(a)) < tiny:
         raise ValueError("line direction is asymptotic for this conic")
     return b * b - 4 * a * c0
 
@@ -677,9 +672,11 @@ def conic_arc_points(conic: Conic, start, end, n: int, anchor) -> list[tuple]:
     Parameterized by the pencil of chords through ``anchor``, a point on the
     conic away from the arc: each chord meets the conic in exactly one other
     point, and the chord angle varies monotonically along a convex arc.  This
-    avoids vertical-branch issues of solving for y over an x grid.
+    avoids vertical-branch issues of solving for y over an x grid.  A NaN,
+    infinite or bool coordinate of start, end or anchor raises ``ValueError``.
     """
     _check_counts(2, n=n)
+    _check_finite(*start, *end, *anchor)
     ax, ay = float(anchor[0]), float(anchor[1])
     A, B, C = float(conic.A), float(conic.B), float(conic.C)
     c0 = float(conic(ax, ay))
@@ -853,12 +850,23 @@ DEFAULT_SVG_STYLE = {
 # math coordinates, y axis flipped at write time
 _VIEW = (-0.7, -0.7, 1.2, 1.2)
 
+# the characters that could end an XML attribute value or open markup, as entities
+_XML_ATTR = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+
 
 def region_svg(rb: RegionBoundary, style: dict | None = None) -> str:
-    """SVG document: one path per straight segment, one per sampled arc."""
+    """SVG document: one path per straight segment, one per sampled arc.
+
+    ``style`` overrides values of ``DEFAULT_SVG_STYLE``; a key not there raises
+    ``ValueError``.  Each override is escaped for an XML attribute, once per
+    call, so a quote or bracket in it cannot leave its attribute.
+    """
     st = dict(DEFAULT_SVG_STYLE)
     if style:
-        st.update(style)
+        unknown = sorted(style.keys() - st.keys())
+        if unknown:
+            raise ValueError(f"unknown style key(s) {', '.join(map(repr, unknown))}")
+        st.update((key, str(value).translate(_XML_ATTR)) for key, value in style.items())
     x0, y0, x1, y1 = _VIEW
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -88,7 +88,11 @@ def default_workers() -> int:
 
 @dataclass(frozen=True)
 class Frame:
-    """Ordered orthonormal k-tuple of complex d-vectors (columns of ``vectors``)."""
+    """Ordered orthonormal k-tuple of complex d-vectors (columns of ``vectors``).
+
+    A wrong shape, a NaN or infinite entry, or columns that are not orthonormal
+    within 1e-10 raise ``ValueError``.
+    """
 
     d: int
     k: int
@@ -98,6 +102,8 @@ class Frame:
         v = np.asarray(self.vectors, dtype=complex)
         if v.shape != (self.d, self.k):
             raise ValueError(f"expected shape ({self.d}, {self.k}), got {v.shape}")
+        if not np.isfinite(v).all():  # a NaN Gram deviation would pass the test below
+            raise ValueError("frame vectors must be finite")
         gram = v.conj().T @ v
         if np.max(np.abs(gram - np.eye(self.k))) > 1e-10:
             raise ValueError("frame vectors are not orthonormal")

@@ -132,6 +132,38 @@ def test_region_svg_style_override(capsys, tmp_path):
     assert "#00ff00" in text and 'class="arc"' not in text
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("edge.strok=#f00", "unknown style key(s) 'edge.strok'"),
+        ("nonsense line", "line 2: expected key=value, got 'nonsense line'"),
+    ],
+)
+def test_a_bad_style_line_or_key_is_a_usage_error(capsys, tmp_path, line, message):
+    # either used to exit 0, the line or key silently ignored
+    style = tmp_path / "style.cfg"
+    style.write_text(f"# comment\n{line}\n\nedge.stroke=#00ff00\n")
+    out_file = tmp_path / "styled.svg"
+    argv = ["region", "map", "--d", "3", "--k", "2", "--format", "svg", "--out", str(out_file)]
+    assert main([*argv, "--style", str(style)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
+    assert not out_file.exists()
+
+
+def test_a_style_value_cannot_leave_its_attribute(capsys, tmp_path):
+    style = tmp_path / "style.cfg"
+    style.write_text('edge.stroke=" onload="alert(1)\n')
+    out_file = tmp_path / "styled.svg"
+    code, _ = run_cli(
+        capsys, "region", "map", "--d", "3", "--k", "2",
+        "--format", "svg", "--out", str(out_file), "--style", str(style),
+    )
+    assert code == 0
+    text = out_file.read_text()
+    assert 'stroke="&quot; onload=&quot;alert(1)"' in text and 'onload="' not in text
+
+
 @pytest.mark.parametrize("fmt, bad", [("svg", "out"), ("csv", "out"), ("svg", "style")])
 def test_a_bad_out_or_style_path_is_a_usage_error(capsys, tmp_path, fmt, bad):
     # either used to end in a traceback and exit 1
@@ -172,6 +204,14 @@ def test_conic_remark_classifications(capsys):
     assert json.loads(out)["classification"] == "hyperbola"
     _, out = run_cli(capsys, "conic", "--d", "5", "--k", "4")
     assert json.loads(out)["classification"] == "ellipse"
+
+
+@pytest.mark.parametrize("dual", [[], ["--dual"]])
+def test_conic_matches_golden(capsys, dual):
+    code, out = run_cli(capsys, "conic", "--d", "5", "--k", "3", *dual)
+    assert code == 0
+    name = "conic_d5_k3_dual.json" if dual else "conic_d5_k3.json"
+    assert out.encode() == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("dual", [[], ["--dual"]])

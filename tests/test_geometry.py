@@ -173,6 +173,39 @@ def test_pole_of_tangent_refuses_a_non_finite_or_bool_point(bad):
         pole_of_tangent(Conic(1, 0, 1, 0, 0, bad), (1.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (math.nan, 0, 1, 0, 0, -1),  # classified as a parabola
+        (1, 0, 1, 0, 0, math.nan),  # an ellipse
+        (math.inf, 0, 1, 0, 0, -1),  # degenerate
+        (1.0, 0.0, 1.0, 0.0, 0.0, -math.inf),
+        (1, 0, 1, 0, np.float32("nan"), -1),
+        (True, 0, 1, 0, 0, -1),  # read as 1
+        (1, 0, 1, 0, 0, np.bool_(True)),
+    ],
+)
+def test_conic_refuses_a_non_finite_or_bool_coefficient(coeffs):
+    with pytest.raises(ValueError, match="non-finite|boolean"):
+        Conic(*coeffs)
+    with pytest.raises(ValueError, match="non-finite|boolean"):
+        Conic(1, 0, 1, 0, 0, -1)._replace(**dict(zip("ABCDEF", coeffs)))
+    with pytest.raises(ValueError, match="non-finite|boolean"):
+        Conic._make(coeffs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64("-inf"), True])
+def test_conic_arc_points_refuses_a_non_finite_end_or_anchor(bad):
+    circle = Conic(1, 0, 1, 0, 0, -1)
+    good = {"start": (1.0, 0.0), "end": (0.0, 1.0), "anchor": (-1.0, 0.0)}
+    assert len(geometry.conic_arc_points(circle, n=5, **good)) == 5
+    for name in good:
+        for pt in ((bad, good[name][1]), (good[name][0], bad)):
+            # an anchor of (nan, 0) used to give NaN samples
+            with pytest.raises(ValueError, match="non-finite|boolean"):
+                geometry.conic_arc_points(circle, n=5, **{**good, name: pt})
+
+
 @pytest.mark.parametrize("bad", [*_BAD, True, np.bool_(False)])
 def test_witness_halfplane_refuses_a_non_finite_witness(bad):
     # a bool used to be read as a number: HalfPlane(-15, -3, 1) at d = 4 for True
@@ -354,6 +387,101 @@ def test_exact_fits_match_the_pinned_digest():
     assert len(lines) == 4000 + len(_case3_pairs(40))
     assert sum("ValueError" in line for line in lines) == 1607  # every repeat and four-on-a-line set
     assert h.hexdigest() == "a94c80911bd57238b54e77d0f4329662edf7fe23d1b9dc32ff55f22435c73527"
+
+
+def _predicate_lines():
+    """One line per call of the three conic predicates: its inputs and outcome.
+
+    A value is written as its repr and type, an exception as its type and
+    message.  ``Conic.classify`` runs on every region conic for d <= 40, exact
+    and float, and on 20,000 seeded conics: ints, Fractions, floats, numpy
+    float64 and float32, mixes of these, huge ints (some with a float among
+    them), line pairs and near-parabolas.
+    ``pole_of_tangent`` runs on 8,000 seeded conics through a point (exact
+    on them, rounded or pushed off), with four tolerances, and
+    ``tangency_discriminant`` on 8,000 seeded conics and lines.
+    """
+    rng = random.Random(22)
+
+    def outcome(fn, *args):
+        try:
+            v = fn(*args)
+        except Exception as e:
+            return f"{type(e).__name__}: {e}"
+        types = [type(c).__name__ for c in v] if isinstance(v, tuple) else type(v).__name__
+        return f"{v!r} {types}"
+
+    def scalar(kind):
+        if kind == "mixed":
+            kind = rng.choice(("int", "frac", "float", "f64"))
+        if kind == "int":
+            return rng.randint(-3, 3)
+        if kind == "frac":
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+        if kind == "huge":
+            return rng.randint(-(10**40), 10**40) * rng.choice((1, 10**360))
+        v = float(rng.randint(-3, 3)) if rng.random() < 0.3 else rng.uniform(-3, 3)
+        return {"float": v, "f64": np.float64(v), "f32": np.float32(v)}[kind]
+
+    kinds = ("int", "frac", "float", "f64", "f32", "mixed", "huge")
+    conics = [kpos_conic(d, k, exact=True) for d in range(2, 41) for k in range(1, d + 1)]
+    conics += [dual_conic(d, k, exact=True) for d, k in _case3_pairs(40)]
+    conics += [c.as_float() for c in conics]
+    for i in range(20000):
+        if i % 10 == 9:  # B^2 - 4AC within a few ulps of zero, or exactly zero
+            a, c = rng.uniform(0.5, 2), rng.uniform(0.5, 2)
+            eps = rng.choice((0.0, 1e-15, -1e-15, 1e-13, -1e-13, 1e-11, -1e-11, 1e-9))
+            rest = [rng.uniform(-2, 2) for _ in range(3)]
+            conics.append(Conic(a, 2 * math.sqrt(a * c) * (1 + eps), c, *rest))
+        elif i % 10 == 8:  # a pair of lines, exact or rounded
+            kind = rng.choice(("int", "frac", "float"))
+            (a, b, c), (u, v, w) = ([scalar(kind) for _ in range(3)] for _ in range(2))
+            conics.append(Conic(a * u, a * v + b * u, b * v, a * w + c * u, b * w + c * v, c * w))
+        else:
+            kind = kinds[i % 7]
+            coeffs = [scalar(kind) for _ in range(6)]
+            if kind == "huge" and i % 2:  # floats in, and an int too large for one
+                coeffs[5] = rng.uniform(-3, 3)
+            conics.append(Conic(*coeffs))
+    for conic in conics:
+        yield f"classify {conic!r} {outcome(Conic.classify, conic)}\n"
+    pole_kinds = ("int", "frac", "float", "f64", "f32", "mixed")
+    for i in range(8000):
+        kind = pole_kinds[i % 6]
+        x, y = scalar(kind), scalar(kind)
+        A, B, C, D, E = (scalar(kind) for _ in range(5))
+        F = -(A * x * x + B * x * y + C * y * y + D * x + E * y)
+        F += rng.choice((0, 0, 0, 1e-13, 1e-10, 1e-7, 1e-4, 1))
+        if rng.random() < 0.02:
+            x = rng.choice((math.nan, math.inf, True))
+        conic, tol = Conic(A, B, C, D, E, F), rng.choice((1e-9, 1e-9, 1e-6, 0.0, 1e-13))
+        yield f"pole {conic!r} {(x, y)!r} {tol!r} {outcome(pole_of_tangent, conic, (x, y), tol)}\n"
+    for i in range(8000):
+        kind = pole_kinds[i % 6]
+        conic = Conic(*(scalar(kind) for _ in range(6)))
+        nx, ny, c = (scalar(rng.choice(pole_kinds)) for _ in range(3))
+        if rng.random() < 0.25:
+            ny = 0
+        if nx == 0 and ny == 0:
+            nx = 1
+        line = HalfPlane(nx, ny, c)
+        yield f"tangency {conic!r} {line!r} {outcome(tangency_discriminant, conic, line)}\n"
+
+
+def test_conic_predicates_match_the_pinned_digest():
+    """Every predicate outcome hashes to a digest pinned on the two-branch predicates.
+
+    The digest was computed while ``classify``, ``pole_of_tangent`` and
+    ``tangency_discriminant`` stated each decision twice, once exactly and once
+    in floats.  It pins that one rule, run at tolerance zero on exact input,
+    changed no answer, no value type and no error message.
+    """
+    h = hashlib.sha256()
+    lines = list(_predicate_lines())
+    for line in lines:
+        h.update(line.encode())
+    assert len(lines) == 2 * 1199 + 20000 + 8000 + 8000
+    assert h.hexdigest() == "afc151e38614d9c4e93ff57265e02d24adfb54b573006dc4ba3dd6b78fdce653"
 
 
 def _case3_pairs(dmax):
@@ -676,6 +804,17 @@ def test_region_svg_is_valid_xml_with_expected_pieces():
     assert len(edges) == 4 and len(arcs) == 1  # 5 vertices -> 4 segments, 1 arc
     assert len(root.findall(f"{ns}line")) == 2  # axes
     assert len(root.findall(f"{ns}circle")) == 5
+
+
+def test_region_svg_escapes_style_values_and_refuses_unknown_keys():
+    rb = map_region_boundary(3, 2, arc_samples=8)
+    svg = region_svg(rb, {"edge.stroke": '" onload="alert(1)', "vertex.fill": "<&>"})
+    assert 'onload="' not in svg and "<&>" not in svg
+    assert 'stroke="&quot; onload=&quot;alert(1)"' in svg and 'fill="&lt;&amp;&gt;"' in svg
+    assert region_svg(rb, {"edge.stroke": "#00ff00"}) == region_svg(rb).replace("#1f77b4", "#00ff00")
+    for style in ({"edge.strok": "#f00"}, {"edge.stroke": "#f00", "": "x"}):
+        with pytest.raises(ValueError, match="unknown style key"):
+            region_svg(rb, style)
 
 
 def test_region_contains():

@@ -61,6 +61,19 @@ def test_frame_rejects_non_orthonormal():
         Frame(3, 2, np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(-np.inf, 0)])
+def test_frame_refuses_a_non_finite_vector(bad):
+    # a NaN Gram deviation used to pass the orthonormality test
+    v = np.eye(3, 2, dtype=complex)
+    for entry in ((0, 0), (2, 1)):
+        w = v.copy()
+        w[entry] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Frame(3, 2, w)
+    with pytest.raises(ValueError, match="finite"):
+        Frame(3, 2, np.full((3, 2), bad))
+
+
 def test_tomiyama_matrix_depolarizing_any_frame():
     rng = np.random.default_rng(1)
     d, k = 4, 3
