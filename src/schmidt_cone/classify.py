@@ -13,6 +13,9 @@ evaluation modes:
 * float: each constraint slack is compared against a boundary tolerance
   (default 1e-9), which must be finite and non-negative.
 
+Both modes share one rule: inside above tol, outside below -tol, else boundary;
+exact mode compares the margin's integer numerator at tol 0.
+
 A profile (``k_positivity_max``, ``schmidt_number``) is d single-k verdicts,
 each checking its own inputs.
 
@@ -74,19 +77,16 @@ def _verdict(kind: str, d: int, k: int, x, y, tol) -> MembershipVerdict:
         raise ValueError(f"negative tolerance {tol!r}")
     exact = _is_exact(x, y)
     margin = region_margin(kind, d, k, x, y, exact=exact)
-    if exact:
-        sign = margin.numerator  # an int, cheaper to compare than a Fraction
-        if sign > 0:
-            return MembershipVerdict("inside", margin)
-        if sign < 0:
-            return MembershipVerdict("outside", margin)
-        return MembershipVerdict("boundary", margin)
-    m = float(margin)
-    if m > tol:
-        return MembershipVerdict("inside", m)
-    if m < -tol:
-        return MembershipVerdict("outside", m)
-    return MembershipVerdict("boundary", m)
+    if exact:  # only the sign decides; an int compares cheaper than a Fraction
+        m, t = margin.numerator, 0
+    else:
+        margin = m = float(margin)
+        t = tol
+    if m > t:
+        return MembershipVerdict("inside", margin)
+    if m < -t:
+        return MembershipVerdict("outside", margin)
+    return MembershipVerdict("boundary", margin)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +159,7 @@ def schmidt_number(d: int, a, b, tol: float = BOUNDARY_TOL) -> StateClassificati
     if type(d) is not int or d < 2:
         region_case(d, 1)  # refuses a float or bool d and d < 2
     per_k = tuple([schmidt_membership(d, a, b, k, tol) for k in range(1, d + 1)])
-    if not per_k[-1].member:
-        return StateClassification(d, a, b, None, per_k)
-    sn = next(k for k, v in enumerate(per_k, start=1) if v.member)
+    sn = next(k for k, v in enumerate(per_k, start=1) if v.member) if per_k[-1].member else None
     return StateClassification(d, a, b, sn, per_k)
 
 

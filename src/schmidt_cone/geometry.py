@@ -285,10 +285,12 @@ def pole_of_tangent(conic: Conic, pt: tuple, tol: float = 1e-9) -> tuple:
 
     pt must be finite and lie on the conic, within tol times max(1, largest
     |coefficient|), and the tangent must miss the origin (denominator 1e-14 or
-    more).  On int/Fraction input both tests run at tolerance 0, exactly.
+    more).  On int/Fraction input both tests run at tolerance 0, exactly.  A
+    NaN, infinite, negative or bool tol is refused, as ``region_contains`` does.
     """
     x, y = pt
     _check_finite(x, y)
+    _check_tolerances(tol)
     val = conic(x, y)
     exact = _is_exact(x, y, *conic)
     num, tiny = (Fraction, 0) if exact else (float, 1e-14)

@@ -210,6 +210,7 @@ def _all_psd_fast(
 ) -> bool:
     """Whether the compressions of all frames V at (p, q) are PSD, to tolerance tol.
 
+    The grid's one PSD test of a point's random frames, interior or exterior.
     One batched Cholesky of the matrices shifted by tol >= 0 on the diagonal:
     the eigenvalue test passes when lambda_min >= -tol max(1, max|lambda|), a
     bound at most -tol, so a success implies it, up to Cholesky's rounding.
@@ -601,8 +602,6 @@ def duality_sanity(d: int, samples: int = 1000, seed: int = 0) -> OracleReport:
 def _grid_task(args) -> dict:
     (d, k, grid_n, box, rows, n_random, seed, band, tol) = args
     axis = np.linspace(box[0], box[1], grid_n)
-    P, Q = np.meshgrid(axis, axis, indexing="ij")
-    margins = kpos_margin_grid(d, k, P, Q)
     expl = np.stack([fr.vectors for _, fr in explicit_frames(d, k)])
     # per-task workspace for the random-frame compressions, reused at every point
     M = np.empty((n_random, k * d, k * d), dtype=complex)
@@ -612,9 +611,11 @@ def _grid_task(args) -> dict:
     checked = 0
     worst_inside = np.inf
     for ix in rows:
-        cols = np.nonzero(np.abs(margins[ix]) > band)[0]
+        P = np.full(grid_n, axis[ix])
+        margins = kpos_margin_grid(d, k, P, axis)
+        cols = np.nonzero(np.abs(margins) > band)[0]
         checked += cols.size
-        inside = margins[ix] > 0
+        inside = margins > 0
         worst = np.full(grid_n, np.inf)
         violated = np.zeros(grid_n, dtype=bool)
         live = cols  # the points the next explicit frame tests
@@ -627,7 +628,7 @@ def _grid_task(args) -> dict:
             shape = (live.size, 1, k * d, k * d)
             frame_margins = _relative_min_eig(_compressions(
                 np.empty(shape, complex), np.empty(shape, complex), frame,
-                P[ix, live], Q[ix, live], d,
+                P[live], axis[live], d,
             ))[:, 0]
             worst[live] = np.minimum(worst[live], frame_margins)
             violated[live] |= frame_margins < -tol
@@ -635,27 +636,25 @@ def _grid_task(args) -> dict:
         for iy, point_worst, expl_violated in zip(
             live.tolist(), worst[live].tolist(), violated[live].tolist()
         ):
-            margin = margins[ix, iy]
-            p, q = float(P[ix, iy]), float(Q[ix, iy])
+            p, q = float(axis[ix]), float(axis[iy])
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(d, k, ix, iy))
             )
             V = random_frames(d, k, n_random, rng)
-            if margin > 0:
+            # an exterior point gets here only when no explicit frame violated it
+            ok = not expl_violated and _all_psd_fast(M, F, V, p, q, d, tol)
+            if inside[iy]:
                 worst_inside = min(worst_inside, point_worst)
-                ok = not expl_violated and _all_psd_fast(M, F, V, p, q, d, tol)
                 if not ok:
                     disagreements.append(
                         {"p": p, "q": q, "k": k, "classifier": "inside", "oracle": "violated"}
                     )
+            elif not ok:
+                random_only += 1  # a finding: violation missed by explicit frames
             else:
-                rnd_margins = _relative_min_eig(_compressions(M, F, V, p, q, d))
-                if np.any(rnd_margins < -tol):
-                    random_only += 1  # a finding: violation missed by explicit frames
-                else:
-                    disagreements.append(
-                        {"p": p, "q": q, "k": k, "classifier": "outside", "oracle": "consistent"}
-                    )
+                disagreements.append(
+                    {"p": p, "q": q, "k": k, "classifier": "outside", "oracle": "consistent"}
+                )
     return {
         "checked": checked,
         "disagreements": disagreements,
@@ -684,10 +683,10 @@ def grid_agreement(
     not disagreements.  The explicit frames run one at a time over a row's
     points, each as one stack: an exterior point that a frame certifies
     leaves the row's later frames, an interior point meets every frame.  The
-    random frames go into a per-task workspace; both assemble by
-    _compressions.  grid_n,
-    n_random and workers must be at least 1; band and tol finite and >= 0;
-    box finite.  d must be an integer >= 2.
+    random frames go into a per-task workspace, both assembled by
+    _compressions, and every point takes them through one _all_psd_fast
+    test.  grid_n, n_random and workers must be at least 1; band and tol
+    finite and >= 0; box finite.  d must be an integer >= 2.
     """
     region_case(d, 1)
     _check_counts(0, seed=seed)
@@ -697,21 +696,19 @@ def grid_agreement(
     _check_tolerances(band, tol)
     _check_finite(*box)
     chunk = 10
-    tasks = []
-    for k in range(1, d + 1):
-        for start in range(0, grid_n, chunk):
-            rows = range(start, min(start + chunk, grid_n))
-            tasks.append((d, k, grid_n, box, rows, n_random, seed, band, tol))
     # Heaviest (largest k) tasks first, so that no worker is left alone with
-    # one at the end; the results go back into task order before merging.
-    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
-    heavy_first = [tasks[i] for i in order]
+    # one at the end; the results are merged in (k, row) order.
+    tasks = [
+        (d, k, grid_n, box, range(start, min(start + chunk, grid_n)), n_random, seed, band, tol)
+        for k in range(d, 0, -1)
+        for start in range(0, grid_n, chunk)
+    ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_grid_task, heavy_first))
+            done = list(pool.map(_grid_task, tasks))
     else:
-        done = [_grid_task(t) for t in heavy_first]
-    results = [r for _, r in sorted(zip(order, done), key=lambda pair: pair[0])]
+        done = [_grid_task(t) for t in tasks]
+    results = [r for _, r in sorted(zip(tasks, done), key=lambda tr: (tr[0][1], tr[0][4].start))]
     disagreements = [x for r in results for x in r["disagreements"]]
     checked = sum(r["checked"] for r in results)
     random_only = sum(r["random_only"] for r in results)

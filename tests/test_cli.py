@@ -214,6 +214,22 @@ def test_conic_matches_golden(capsys, dual):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "golden, command",
+    [
+        ("classify_map_d4_exact.json", "classify-map --d 4 --p -1/11 --q 0 --exact"),
+        ("classify_map_d5_float.json", "classify-map --d 5 --p -0.1 --q 0.3"),
+        ("classify_state_d6_float.json", "classify-state --d 6 --a 0.4 --b -0.12"),
+        ("classify_state_d5_exact.json", "classify-state --d 5 --a 3/10 --b -1/10 --exact"),
+    ],
+)
+def test_classify_matches_golden(capsys, golden, command):
+    # inside, boundary and outside verdicts in both modes, byte for byte
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 @pytest.mark.parametrize("dual", [[], ["--dual"]])
 @pytest.mark.parametrize("k", ["-1", "0", "5"])
 def test_conic_refuses_k_outside_1_to_d(capsys, k, dual):

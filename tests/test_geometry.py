@@ -160,6 +160,20 @@ def test_pole_of_tangent_errors():
         pole_of_tangent(parabola, (0, 0))  # tangent y=0 passes through the origin
 
 
+@pytest.mark.parametrize(
+    "pt, tol, message",
+    [
+        ((2.0, 0.0), math.nan, "non-finite"),  # used to return (2.0, 0.0) off the circle
+        ((5.0, 0.0), math.inf, "non-finite"),  # used to accept a point off the circle
+        ((1.0, 0.0), True, "boolean"),  # used to be read as 1
+        ((1.0, 0.0), -1e-9, "negative tolerance"),  # used to refuse a point on the circle
+    ],
+)
+def test_pole_of_tangent_refuses_a_bad_tolerance(pt, tol, message):
+    with pytest.raises(ValueError, match=message):
+        pole_of_tangent(Conic(1, 0, 1, 0, 0, -1), pt, tol=tol)
+
+
 _BAD = [math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf")]
 
 
@@ -934,3 +948,27 @@ def test_region_contains_matches_the_per_edge_loop(d, k):
     fresh = witness_points(d, k, arc_samples=33)
     fresh.append(None)  # a fresh list: the kept polyline is not changed
     assert witness_points(d, k, arc_samples=33) == fresh[:-1]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Conic(0, 0, 0, 0, 0, 0).as_float(), "zero conic"),
+        (lambda: kpos_conic(1, 1), "d must be >= 2"),
+        (lambda: conic_through_five_points([(0, 0), (1, 0), (0, 1), (1, 1)]), "exactly five points"),
+        # the out-of-range message the README promises for the dual ellipse
+        (lambda: dual_conic(4, 2), r"k=2 out of range d/2 < k < d for d=4"),
+        (lambda: dual_tangency_points(4, 4), r"k=4 out of range d/2 < k < d for d=4"),
+        (lambda: dual_tangent_lines(5, 2), r"k=2 out of range d/2 < k < d for d=5"),
+        (
+            lambda: geometry.conic_arc_points(
+                Conic(0, 1, 0, 0, 0, -1), (2.0, 0.0), (2.0, 2.0), 3, anchor=(1.0, 1.0)
+            ),
+            "chord direction is asymptotic",
+        ),
+    ],
+    ids=["zero-conic", "kpos-d1", "four-points", "dual-k-low", "tangency-k-d", "lines-k-low", "asymptotic"],
+)
+def test_a_geometry_builder_refuses_a_degenerate_or_out_of_range_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -919,6 +919,47 @@ def test_an_oracle_refuses_a_non_finite_box_or_point_and_a_k_outside_1_to_d(call
         call()
 
 
+@pytest.mark.parametrize(
+    "call, err",
+    [
+        (lambda: block_positivity_falsifier(np.eye(8), 1), "side 8 is not d\\^2"),
+        (lambda: Frame(3, 2, np.eye(3)), r"expected shape \(3, 2\), got \(3, 3\)"),
+        (lambda: pair_frame(3, 2), "pair frame needs 2k <= d"),
+        (lambda: tomiyama_matrix(CovariantMap(4, 0.1, 0.1), standard_frame(3, 2)), "frame d=3, map d=4"),
+    ],
+    ids=["falsifier-side", "frame-shape", "pair-frame", "tomiyama-dims"],
+)
+def test_a_frame_or_operator_of_the_wrong_shape_is_refused(call, err):
+    with pytest.raises(ValueError, match=err):
+        call()
+
+
+def test_witness_grid_check_names_its_first_mismatches_and_counts_the_rest(monkeypatch):
+    # One witness point (1, 0) misses most violations: each k lists five
+    # mismatched points, then {"k": k, "more": n} for the ones left unlisted.
+    monkeypatch.setattr(oracles, "witness_points", lambda d, k, arc_samples=256: [(1.0, 0.0)])
+    rep = witness_grid_check(4, grid_n=20)
+    assert rep.verdict == "violated" and len(rep.witness) == 18
+    assert rep.witness[-1] == {"k": 3, "more": 5}
+    for entry in rep.witness:
+        if "more" not in entry:
+            assert set(entry) == {"a", "b", "k", "expected_violation"}
+            assert entry["expected_violation"] is True
+            assert schmidt_number(4, entry["a"], entry["b"]).schmidt_number > entry["k"]
+
+
+def test_frame_minima_check_names_each_failure(monkeypatch):
+    monkeypatch.setattr(oracles, "explicit_overlap_minimum", lambda d, k: 99)
+    monkeypatch.setattr(oracles, "frame_overlap_minimize", lambda d, k, **kwargs: (-1.0, None))
+    rep = frame_minima_check(3, restarts=1, iters=1)
+    assert rep.verdict == "violated"
+    expected = []
+    for k, target in ((1, 0), (2, 1), (3, 3)):
+        expected.append({"k": k, "explicit": 99, "target": target})
+        expected.append({"k": k, "optimized": -1.0, "target": target})
+    assert rep.witness == expected
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12, True])
 def test_block_positivity_falsifier_refuses_a_bad_tolerance(tol):
     # a NaN or negative tol used to return a "violator" of the PSD identity

@@ -181,6 +181,11 @@ def test_apply_channel_right_refuses_a_side_that_is_not_a_multiple_of_d(shape):
         apply_channel_right(CovariantMap(3, 0.4, -0.7), np.zeros(shape))
 
 
+def test_apply_refuses_a_matrix_of_the_wrong_side():
+    with pytest.raises(ValueError, match=r"expected a 3x3 matrix, got \(4, 4\)"):
+        CovariantMap(3, 0.1, 0.1).apply(np.eye(4))
+
+
 def test_haar_orthogonal_is_orthogonal():
     rng = np.random.default_rng(7)
     for d in (1, 3, 6):
