@@ -135,6 +135,7 @@ def pair_frame(d: int, k: int) -> Frame:
 
 def explicit_frames(d: int, k: int) -> list[tuple[str, Frame]]:
     """The named frames used before any random search: standard, fourier, pair."""
+    region_case(d, k)
     out = [("standard", standard_frame(d, k)), ("fourier", fourier_frame(d, k))]
     if 2 * k <= d:
         out.append(("pair", pair_frame(d, k)))
@@ -282,6 +283,7 @@ def frame_overlap(fr: Frame) -> float:
 
 def fourier_overlap_exact(d: int, k: int) -> int:
     """Exact overlap of the fourier frame: #{(j, j') in [1,k]^2 : d | j+j'-2}."""
+    region_case(d, k)
     return sum(
         1 for j in range(1, k + 1) for jp in range(1, k + 1) if (j + jp - 2) % d == 0
     )
@@ -603,7 +605,9 @@ def _grid_task(args) -> dict:
     (d, k, grid_n, box, rows, n_random, seed, band, tol) = args
     axis = np.linspace(box[0], box[1], grid_n)
     expl = np.stack([fr.vectors for _, fr in explicit_frames(d, k)])
-    # per-task workspace for the random-frame compressions, reused at every point
+    # per-task workspaces, reused on every row and at every point: R for a
+    # row's explicit-frame compressions, M and F for a point's random frames
+    R = np.empty((2, grid_n, 1, k * d, k * d), dtype=complex)
     M = np.empty((n_random, k * d, k * d), dtype=complex)
     F = np.empty_like(M)
     disagreements = []
@@ -616,26 +620,20 @@ def _grid_task(args) -> dict:
         cols = np.nonzero(np.abs(margins) > band)[0]
         checked += cols.size
         inside = margins > 0
-        worst = np.full(grid_n, np.inf)
         violated = np.zeros(grid_n, dtype=bool)
         live = cols  # the points the next explicit frame tests
         # one explicit frame at a time, one eigvalsh call each: every interior
-        # point sees every frame, an exterior point stops at its first
-        # violating one; the stacks are fresh arguments, so they stay temporaries
+        # point sees every frame, an exterior point stops at its first violating one
         for frame in expl[:, None]:
             if not live.size:
                 break
-            shape = (live.size, 1, k * d, k * d)
-            frame_margins = _relative_min_eig(_compressions(
-                np.empty(shape, complex), np.empty(shape, complex), frame,
-                P[live], axis[live], d,
-            ))[:, 0]
-            worst[live] = np.minimum(worst[live], frame_margins)
+            frame_margins = _relative_min_eig(
+                _compressions(*R[:, :live.size], frame, P[live], axis[live], d)
+            )[:, 0]
+            worst_inside = min(worst_inside, float(frame_margins[inside[live]].min(initial=np.inf)))
             violated[live] |= frame_margins < -tol
             live = live[inside[live] | ~violated[live]]
-        for iy, point_worst, expl_violated in zip(
-            live.tolist(), worst[live].tolist(), violated[live].tolist()
-        ):
+        for iy, expl_violated in zip(live.tolist(), violated[live].tolist()):
             p, q = float(axis[ix]), float(axis[iy])
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(d, k, ix, iy))
@@ -643,18 +641,12 @@ def _grid_task(args) -> dict:
             V = random_frames(d, k, n_random, rng)
             # an exterior point gets here only when no explicit frame violated it
             ok = not expl_violated and _all_psd_fast(M, F, V, p, q, d, tol)
-            if inside[iy]:
-                worst_inside = min(worst_inside, point_worst)
-                if not ok:
-                    disagreements.append(
-                        {"p": p, "q": q, "k": k, "classifier": "inside", "oracle": "violated"}
-                    )
+            if inside[iy] != ok:
+                side = "inside" if inside[iy] else "outside"
+                verdict = "consistent" if ok else "violated"
+                disagreements.append({"p": p, "q": q, "k": k, "classifier": side, "oracle": verdict})
             elif not ok:
                 random_only += 1  # a finding: violation missed by explicit frames
-            else:
-                disagreements.append(
-                    {"p": p, "q": q, "k": k, "classifier": "outside", "oracle": "consistent"}
-                )
     return {
         "checked": checked,
         "disagreements": disagreements,
@@ -677,16 +669,15 @@ def grid_agreement(
 
     Protocol per non-band point: the explicit frames are tested first; an
     exterior point certified violated by them is done.  Otherwise n_random
-    fresh Haar frames (seeded per point) are tested.  A disagreement is an
-    interior point with any violating frame, or an exterior point with none.
-    Exterior violations found only by random frames are counted as findings,
-    not disagreements.  The explicit frames run one at a time over a row's
-    points, each as one stack: an exterior point that a frame certifies
-    leaves the row's later frames, an interior point meets every frame.  The
-    random frames go into a per-task workspace, both assembled by
-    _compressions, and every point takes them through one _all_psd_fast
-    test.  grid_n, n_random and workers must be at least 1; band and tol
-    finite and >= 0; box finite.  d must be an integer >= 2.
+    fresh Haar frames (seeded per point) are tested.  A point disagrees when
+    the classifier's inside differs from the oracle's consistent; exterior
+    violations found only by random frames are findings.  The explicit frames
+    run one at a time over a row's points, each as one stack: an exterior
+    point leaves the row at its first violating frame.  Each task (one k, ten
+    rows) builds every stack with _compressions in workspaces allocated once,
+    and tasks run heaviest (largest k) first, merged in (k, row) order.
+    grid_n, n_random and workers must be at least 1; band and tol finite and
+    >= 0; box finite.  d must be an integer >= 2.
     """
     region_case(d, 1)
     _check_counts(0, seed=seed)
@@ -696,19 +687,19 @@ def grid_agreement(
     _check_tolerances(band, tol)
     _check_finite(*box)
     chunk = 10
-    # Heaviest (largest k) tasks first, so that no worker is left alone with
-    # one at the end; the results are merged in (k, row) order.
+    # The tasks in merge order, (k, row) ascending.  The pool takes them in
+    # reverse, heaviest (largest k) first, so that no worker is left alone
+    # with one at the end.
     tasks = [
         (d, k, grid_n, box, range(start, min(start + chunk, grid_n)), n_random, seed, band, tol)
-        for k in range(d, 0, -1)
+        for k in range(1, d + 1)
         for start in range(0, grid_n, chunk)
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_grid_task, tasks))
+            results = list(pool.map(_grid_task, tasks[::-1]))[::-1]
     else:
-        done = [_grid_task(t) for t in tasks]
-    results = [r for _, r in sorted(zip(tasks, done), key=lambda tr: (tr[0][1], tr[0][4].start))]
+        results = [_grid_task(t) for t in tasks]
     disagreements = [x for r in results for x in r["disagreements"]]
     checked = sum(r["checked"] for r in results)
     random_only = sum(r["random_only"] for r in results)
@@ -739,7 +730,9 @@ def witness_grid_check(
     """Witness search finds a violation iff the classifier says SN > k.
 
     Runs over a grid inside the PSD triangle, all k, excluding a band around
-    each region boundary.  grid_n must be at least 1, and band finite and >= 0.
+    each region boundary.  grid_n must be at least 1, and band finite and >= 0;
+    a grid that leaves no point to check (grid_n 1 or 2) is refused.  No margin
+    is measured, so worst_margin stays null.
     """
     _check_counts(1, grid_n=grid_n)
     _check_tolerances(band)
@@ -765,7 +758,9 @@ def witness_grid_check(
             )
         if bad.size > 5:
             mismatches.append({"k": k, "more": int(bad.size - 5)})
-    return OracleReport(mismatches or None, samples=checked, worst_margin=0.0,
+    if checked == 0:
+        raise ValueError(f"grid_n={grid_n} leaves no point to check")
+    return OracleReport(mismatches or None, samples=checked,
                         details={"d": d, "grid": grid_n, "arc_samples": arc_samples})
 
 
@@ -773,7 +768,7 @@ def witness_grid_check(
 
 
 def frame_minima_check(d: int, restarts: int = 50, iters: int = 150, seed: int = 0) -> OracleReport:
-    """Explicit frames attain max(2k-d, 0); optimization never beats the floor."""
+    """Explicit frames attain max(2k-d, 0); optimization never beats the floor; no margin is measured."""
     region_case(d, 1)
     _check_counts(0, seed=seed)
     failures = []
@@ -786,7 +781,7 @@ def frame_minima_check(d: int, restarts: int = 50, iters: int = 150, seed: int =
         minima[k] = val
         if val < target - 1e-9 or val > target + 1e-6:
             failures.append({"k": k, "optimized": val, "target": target})
-    return OracleReport(failures or None, samples=d, worst_margin=0.0, details={"d": d, "minima": minima})
+    return OracleReport(failures or None, samples=d, details={"d": d, "minima": minima})
 
 
 # --- Twirl consistency -------------------------------------------------------

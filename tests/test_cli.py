@@ -407,6 +407,15 @@ def test_verify_with_every_suite_skipped_is_a_usage_error(capsys):
     assert captured.err.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize("grid", ["1", "2"])
+def test_a_witness_grid_that_checks_no_point_is_a_usage_error(capsys, grid):
+    # it used to exit 0 with a consistent report of 0 samples
+    assert main(["verify", "--suite", "witness", "--d", "3", "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: grid_n={grid} leaves no point to check\n"
+
+
 def test_verify_all_still_skips_duality_above_desk_scale(capsys):
     argv = ["verify", "--suite", "all", "--d", "5", "--grid", "3", "--frames", "2", "--samples", "200", "--workers", "1"]
     code = main(argv)

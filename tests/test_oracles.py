@@ -584,6 +584,66 @@ def test_witness_grid_check_refuses_a_bad_band(band):
         witness_grid_check(4, grid_n=20, band=band)
 
 
+def _witness_grid_violated(monkeypatch):
+    monkeypatch.setattr(oracles, "witness_points", lambda d, k, arc_samples=256: [(1.0, 0.0)])
+    return witness_grid_check(4, grid_n=20)
+
+
+def _frame_minima_violated(monkeypatch):
+    monkeypatch.setattr(oracles, "explicit_overlap_minimum", lambda d, k: 99)
+    monkeypatch.setattr(oracles, "frame_overlap_minimize", lambda d, k, **kwargs: (-1.0, None))
+    return frame_minima_check(3, restarts=1, iters=1)
+
+
+@pytest.mark.parametrize(
+    "run, verdict",
+    [
+        (lambda mp: witness_grid_check(3, grid_n=20), "consistent"),
+        (lambda mp: frame_minima_check(3, restarts=1, iters=1), "consistent"),
+        (_witness_grid_violated, "violated"),
+        (_frame_minima_violated, "violated"),
+    ],
+    ids=["witness", "frame-minima", "witness-violated", "frame-minima-violated"],
+)
+def test_suites_that_measure_no_margin_report_it_as_null(monkeypatch, run, verdict):
+    # both suites used to report a worst_margin of 0.0 that measured nothing
+    rep = run(monkeypatch)
+    assert rep.verdict == verdict
+    assert rep.to_dict()["worst_margin"] is None
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("grid_n", [1, 2])
+def test_witness_grid_check_refuses_a_grid_that_checks_no_point(d, grid_n):
+    # grids 1 and 2 lie on the state triangle's bounding box and used to
+    # report a consistent run of 0 samples; grid 3 checks d points
+    with pytest.raises(ValueError, match=f"grid_n={grid_n} leaves no point to check"):
+        witness_grid_check(d, grid_n=grid_n)
+    assert witness_grid_check(d, grid_n=3).samples == d
+
+
+@pytest.mark.parametrize(
+    "call, err",
+    [
+        (lambda: explicit_overlap_minimum(3, -1), "k=-1 out of range"),
+        (lambda: explicit_overlap_minimum(3, 5), "k=5 out of range"),
+        (lambda: explicit_overlap_minimum(2.5, 1), "d must be an integer"),
+        (lambda: fourier_overlap_exact(3, 7), "k=7 out of range"),
+        (lambda: fourier_overlap_exact(1, 1), "d must be >= 2"),
+        (lambda: frame_overlap_minimize(3, 0), "k=0 out of range"),
+        (lambda: frame_overlap_minimize(3, 5), "k=5 out of range"),
+        (lambda: explicit_frames(3, 4), "k=4 out of range"),
+        (lambda: explicit_frames(True, 1), "integer"),
+    ],
+    ids=["min-k-negative", "min-k-above-d", "min-float-d", "fourier-k-above-d", "fourier-d1",
+         "minimize-k0", "minimize-k-above-d", "frames-k-above-d", "frames-bool-d"],
+)
+def test_frame_overlap_closed_forms_refuse_what_region_case_refuses(call, err):
+    # these returned -1, 5, 0 and 17, or failed inside numpy or the Frame check
+    with pytest.raises(ValueError, match=err):
+        call()
+
+
 def test_report_dict_writes_a_non_finite_margin_as_null():
     assert OracleReport().to_dict()["worst_margin"] is None
     assert OracleReport(worst_margin=float("nan")).to_dict()["worst_margin"] is None
