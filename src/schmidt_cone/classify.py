@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .geometry import _check_finite, _is_exact, region_case, region_margin
+from .geometry import _check_finite, _finite_array, _is_exact, region_case, region_margin
 
 __all__ = [
     "MembershipVerdict",
@@ -204,18 +204,17 @@ def k_superpositivity_max(d: int, p, q, tol: float = BOUNDARY_TOL) -> Superposit
 
 
 def kpos_margin_grid(d: int, k: int, P, Q):
-    """Elementwise k-positivity margin over float arrays P, Q."""
+    """Elementwise k-positivity margin over real arrays P, Q (NaN, inf, bool or text refused)."""
     return _margin_grid("map", d, k, P, Q)
 
 
 def schmidt_margin_grid(d: int, k: int, A, B):
-    """Elementwise Schmidt-<=k membership margin over float arrays A, B."""
+    """Elementwise Schmidt-<=k membership margin over real arrays A, B, refused as P, Q are."""
     return _margin_grid("state", d, k, A, B)
 
 
 def _margin_grid(kind: str, d: int, k: int, X, Y):
     import numpy as np
 
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X, Y = _finite_array(X), _finite_array(Y)
     return region_margin(kind, d, k, X, Y, np.minimum.reduce, np.maximum)

@@ -3,7 +3,8 @@
 JSON answers go to stdout, diagnostics to stderr.  Exit codes: 0 for a
 well-formed answered query (including domain answers such as not_a_state),
 2 for usage errors (an unreadable or malformed --style, a style key outside
-geometry.DEFAULT_SVG_STYLE and an unwritable --out included),
+geometry.DEFAULT_SVG_STYLE, an unwritable --out, and an --out or --style
+that the chosen region format would ignore included),
 3 for internal failures or verification inconsistencies.
 Scalars parse as decimals or rationals "n/m"; with --exact they are kept as
 exact rationals and decisions are exact.  Only verify and witness load numpy
@@ -78,6 +79,10 @@ def _load_style(path: str) -> dict:
 
 
 def _cmd_region(args) -> int:
+    for flag, formats in (("out", ("json",)), ("style", ("json", "csv"))):
+        if getattr(args, flag) is not None and args.format in formats:
+            sys.stderr.write(f"error: --{flag} does not apply to {args.format} output\n")
+            return 2
     if args.kind == "map":
         rb = geometry.map_region_boundary(args.d, args.k, arc_samples=args.samples)
     else:

@@ -94,6 +94,22 @@ def _check_finite(*vals):
                 raise ValueError(f"non-finite input {v!r}")
 
 
+def _finite_array(X, dtype=float):
+    """X as an array of ``dtype``, float or complex: the one rule for numeric array input.
+
+    Refuses a bool or text dtype, a complex one for float, and a NaN or infinite entry.
+    """
+    import numpy as np
+
+    X = np.asarray(X)
+    if X.dtype.kind not in ("iufcO" if dtype is complex else "iufO"):
+        raise ValueError(f"{X.dtype} array where {dtype.__name__} entries are expected")
+    X = X.astype(dtype, copy=False)  # object arrays of Fractions convert; no copy if of dtype
+    if not np.isfinite(X).all():
+        raise ValueError("non-finite entry")
+    return X
+
+
 def _check_integer(v, name: str):
     if type(v) is int:
         return
@@ -108,9 +124,10 @@ def _cached(fn):
 
     The cache hashes its arguments before fn runs, so without the check an
     unhashable d or k, such as a 0-d numpy array, raised ``TypeError`` there
-    instead of the ``ValueError`` that region_case gives.
+    instead of the ``ValueError`` that region_case gives.  A numpy-integer d
+    or k shares the entry of the equal Python int.
     """
-    cached = lru_cache(maxsize=None, typed=True)(fn)
+    cached = lru_cache(maxsize=None)(fn)
 
     @wraps(cached)
     def checked(d, k, *args, **kwargs):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _check_counts, _check_tolerances
+from .geometry import _check_counts, _check_tolerances, _finite_array
 
 __all__ = [
     "as_hermitian",
@@ -24,14 +24,12 @@ __all__ = [
 def as_hermitian(X, tol: float = 1e-12) -> np.ndarray:
     """Validate that X is a finite square Hermitian matrix and return it as complex ndarray.
 
-    Hermiticity is checked against an absolute tolerance of
-    ``tol * max(1, frobenius_norm)``.  Raises ValueError on violation.
+    Hermiticity is checked against an absolute tolerance of ``tol * max(1, frobenius_norm)``.
+    A violation, a bool or text X, or a NaN or infinite entry raises ValueError.
     """
-    X = np.asarray(X, dtype=complex)
+    X = _finite_array(X, complex)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("matrix has a non-finite entry")
     scale = max(1.0, float(np.linalg.norm(X)))
     dev = float(np.max(np.abs(X - X.conj().T)))
     if dev > tol * scale:
@@ -87,14 +85,12 @@ def schmidt_spectrum(vec, dim_a: int, dim_b: int, tol: float = 1e-12) -> np.ndar
     The vector of length ``dim_a * dim_b`` is reshaped row-major to a
     dim_a x dim_b matrix (index (i, j) -> i * dim_b + j, matching ``np.kron``)
     and its singular values above ``tol``, as many as the Schmidt rank, are
-    returned (none for a zero vector).  A non-finite entry is refused.
+    returned (none for a zero vector).  A NaN, inf, bool or text entry is refused.
     """
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    vec = _finite_array(vec, complex).reshape(-1)
     _check_counts(1, dim_a=dim_a, dim_b=dim_b)
     if vec.size != dim_a * dim_b:
         raise ValueError(f"vector length {vec.size} != {dim_a}*{dim_b}")
-    if not np.isfinite(vec).all():
-        raise ValueError("vector has a non-finite entry")
     sv = np.linalg.svd(vec.reshape(dim_a, dim_b), compute_uv=False)
     return sv[sv > tol]
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .classify import is_k_positive, kpos_margin_grid, schmidt_margin_grid
-from .geometry import _check_counts, _check_finite, _check_tolerances, _is_exact, _polyline
+from .geometry import _check_counts, _check_finite, _check_tolerances, _finite_array, _is_exact, _polyline
 from .geometry import map_region_boundary, region_case, state_region_vertices
 from .linalg import _as_bipartite_hermitian, _haar_qr
 from .symmetry import CovariantMap, InvariantState, apply_channel_right, twirl_exact, twirl_monte_carlo
@@ -90,8 +90,8 @@ def default_workers() -> int:
 class Frame:
     """Ordered orthonormal k-tuple of complex d-vectors (columns of ``vectors``).
 
-    A wrong shape, a NaN or infinite entry, or columns that are not orthonormal
-    within 1e-10 raise ``ValueError``.
+    A wrong shape, a NaN, infinite, bool or text entry, or columns that are
+    not orthonormal within 1e-10 raise ``ValueError``.
     """
 
     d: int
@@ -99,11 +99,9 @@ class Frame:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
+        v = _finite_array(self.vectors, complex)  # a NaN Gram deviation would pass the test below
         if v.shape != (self.d, self.k):
             raise ValueError(f"expected shape ({self.d}, {self.k}), got {v.shape}")
-        if not np.isfinite(v).all():  # a NaN Gram deviation would pass the test below
-            raise ValueError("frame vectors must be finite")
         gram = v.conj().T @ v
         if np.max(np.abs(gram - np.eye(self.k))) > 1e-10:
             raise ValueError("frame vectors are not orthonormal")
@@ -247,12 +245,13 @@ def tomiyama_check(
     ``worst_margin`` is the smallest relative minimal eigenvalue over the
     counted frames.  A NaN, infinite or negative tol is refused, as are a
     negative n_random and a k outside 1..d; n_random = 0 tests the explicit
-    frames alone.
+    frames alone.  p and q follow the classifier's scalar rule: a NaN,
+    infinite or bool one raises ``ValueError``, text ``TypeError``.
     """
     _check_tolerances(tol)
     _check_counts(0, n_random=n_random, seed=seed)
     region_case(d, k)
-    m = CovariantMap(d, float(p), float(q))  # refuses a NaN or infinite point
+    m = CovariantMap(d, p, q)  # refuses a NaN, infinite, bool or text point
     expl = explicit_frames(d, k)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d, k)))
     V = np.concatenate([[fr.vectors for _, fr in expl], random_frames(d, k, n_random, rng)])
@@ -377,13 +376,8 @@ def block_conditions(d: int, p, q, k: int, xi1sq) -> bool:
 
 
 def block_conditions_grid(d: int, P, Q, k: int, xi1sq: float) -> np.ndarray:
-    """Vectorized block_conditions over float arrays (strict >= 0), refusing a bool or non-finite entry."""
-    P, Q = np.asarray(P), np.asarray(Q)
-    if P.dtype == bool or Q.dtype == bool:
-        raise ValueError("boolean input")
-    P, Q = P.astype(float), Q.astype(float)
-    if not (np.isfinite(P).all() and np.isfinite(Q).all()):
-        raise ValueError("non-finite input")
+    """Vectorized block_conditions over real arrays (strict >= 0), refusing a NaN, inf, bool or text entry."""
+    P, Q = _finite_array(P), _finite_array(Q)
     return np.logical_and.reduce([c >= 0 for c in _block_checks(d, P, Q, k, xi1sq)])
 
 
@@ -677,7 +671,8 @@ def grid_agreement(
     rows) builds every stack with _compressions in workspaces allocated once,
     and tasks run heaviest (largest k) first, merged in (k, row) order.
     grid_n, n_random and workers must be at least 1; band and tol finite and
-    >= 0; box finite.  d must be an integer >= 2.
+    >= 0; box exactly two finite reals.  d must be an integer >= 2.  The pool
+    starts no more workers than there are tasks.
     """
     region_case(d, 1)
     _check_counts(0, seed=seed)
@@ -685,6 +680,8 @@ def grid_agreement(
         workers = default_workers()
     _check_counts(1, grid_n=grid_n, n_random=n_random, workers=workers)
     _check_tolerances(band, tol)
+    if len(box) != 2:  # each end keeps the scalar rule, which an array would hide a bool from
+        raise ValueError(f"box must be two numbers (low, high), got {box!r}")
     _check_finite(*box)
     chunk = 10
     # The tasks in merge order, (k, row) ascending.  The pool takes them in
@@ -695,6 +692,7 @@ def grid_agreement(
         for k in range(1, d + 1)
         for start in range(0, grid_n, chunk)
     ]
+    workers = min(workers, len(tasks))  # under fork, the pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_grid_task, tasks[::-1]))[::-1]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _check_counts, _check_finite, region_case
+from .geometry import _check_counts, _check_finite, _finite_array, region_case
 from .linalg import _as_bipartite_hermitian, _haar_qr, flip, max_entangled
 
 __all__ = [
@@ -40,8 +40,8 @@ class CovariantMap:
     """The orthogonally covariant map Z -> (1-p-q) Tr(Z)/d I + p Z + q Z^T.
 
     p and q may be floats or exact rationals; matrix operations coerce to
-    float.  The map is Hermitian-preserving for real p, q and trace-preserving
-    by construction.
+    float, and ``apply`` refuses a NaN, infinite, bool or text entry.  The map
+    is Hermitian-preserving for real p, q and trace-preserving by construction.
     """
 
     d: int
@@ -53,7 +53,7 @@ class CovariantMap:
         _check_finite(self.p, self.q)
 
     def apply(self, Z) -> np.ndarray:
-        Z = np.asarray(Z, dtype=complex)
+        Z = _finite_array(Z, complex)
         if Z.shape != (self.d, self.d):
             raise ValueError(f"expected a {self.d}x{self.d} matrix, got {Z.shape}")
         p, q = float(self.p), float(self.q)
@@ -190,15 +190,11 @@ def twirl_monte_carlo(X, n_samples: int, seed: int = 0) -> np.ndarray:
 
 
 def apply_channel_right(m: CovariantMap, X) -> np.ndarray:
-    """(id_n x map)(X) for X on C^n x C^d, block by block: the Choi matrix at n = d."""
-    X = np.asarray(X, dtype=complex)
+    """(id_n x map)(X) for a finite numeric X on C^n x C^d, block by block: the Choi matrix at n = d."""
+    X = _finite_array(X, complex)
     d = m.d
-    if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] % d:
+    if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] % d or not X.size:
         raise ValueError(f"expected an nd x nd matrix with d={d}, got {X.shape}")
-    out = np.zeros_like(X)
     n = X.shape[0] // d
-    for i in range(n):
-        for j in range(n):
-            blk = X[i * d : (i + 1) * d, j * d : (j + 1) * d]
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = m.apply(blk)
-    return out
+    blocks = X.reshape(n, d, n, d).swapaxes(1, 2)  # blocks[i, j] is the (i, j) block of X
+    return np.block([[m.apply(b) for b in row] for row in blocks])

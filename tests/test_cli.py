@@ -179,6 +179,27 @@ def test_a_bad_out_or_style_path_is_a_usage_error(capsys, tmp_path, fmt, bad):
     assert captured.err.startswith("error: ") and str(missing) in captured.err
 
 
+@pytest.mark.parametrize(
+    "fmt, flags, message",
+    [
+        ("json", ["--out"], "--out does not apply to json output"),
+        ("json", ["--style"], "--style does not apply to json output"),
+        ("csv", ["--out", "--style"], "--style does not apply to csv output"),
+    ],
+)
+def test_a_region_flag_its_format_ignores_is_a_usage_error(capsys, tmp_path, fmt, flags, message):
+    # json with --out used to print and write nothing, csv with --style to exit 0
+    style = tmp_path / "style.cfg"
+    style.write_text("edge.stroke=#00ff00\n")
+    out_file = tmp_path / f"r.{fmt}"
+    argv = ["region", "map", "--d", "3", "--k", "2", "--format", fmt]
+    argv += [arg for flag in flags for arg in (flag, str(out_file if flag == "--out" else style))]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not out_file.exists()
+
+
 def test_cli_byte_identical_across_runs(capsys):
     _, out1 = run_cli(capsys, "classify-state", "--d", "5", "--a", "0.3", "--b", "-0.1")
     _, out2 = run_cli(capsys, "classify-state", "--d", "5", "--a", "0.3", "--b", "-0.1")

@@ -66,6 +66,21 @@ def test_cached_builders_refuse_an_unhashable_d_or_k_as_region_case_does(build, 
         build(d, k)
 
 
+def test_a_numpy_integer_d_or_k_shares_the_cache_entry_of_the_python_int():
+    # a typed cache used to build and keep one more copy per integer type
+    cases = [
+        (kpos_conic, (5, 3, True), [(np.int64(5), 3, True), (np.int32(5), np.int64(3), True)]),
+        (geometry._vertices, (5, 3, "map", True), [(np.int64(5), np.int64(3), "map", True)]),
+        (dual_conic, (7, 5), [(np.int64(7), np.int64(5)), (7, np.int32(5))]),
+    ]
+    for build, args, numpy_args in cases:
+        first = build(*args)
+        size = build.__wrapped__.cache_info().currsize
+        for other in numpy_args:
+            assert build(*other) is first
+        assert build.__wrapped__.cache_info().currsize == size
+
+
 def test_kpos_conic_d5_matches_display():
     for k in (3, 4):
         expected = (5 * k - 1, -(122 - 30 * k), 4, -(5 * k - 2), -3, -1)
@@ -252,6 +267,19 @@ def test_conic_through_five_points_refuses_a_non_finite_or_bool_coordinate(bad):
         for interior in ((bad, 0), (0, bad)):
             with pytest.raises(ValueError, match="non-finite|boolean"):
                 conic_through_five_points(pts, interior=interior)
+
+
+def test_dual_tangency_points_are_the_exact_poles_of_the_map_conic_at_every_case3_pair_to_d60():
+    # checks _dual's transcribed points and the state chord's corners against
+    # the map conic, in exact arithmetic: the map corners (1, 0), (0, 1) and
+    # (0, -1/(d-1)), then the arc's start and end, under pole and inverse pairing
+    pairs = [(d, k) for d in range(2, 61) for k in range(1, d + 1) if region_case(d, k) == 3]
+    assert len(pairs) == 870
+    for d, k in pairs:
+        conic = kpos_conic(d, k, exact=True)
+        end, *_, start = map_region_vertices(d, k, exact=True)
+        P = [(1, 0), (0, 1), (0, Fraction(-1, d - 1)), start, end]
+        assert dual_tangency_points(d, k) == [pairing_map_inv(d, pole_of_tangent(conic, p)) for p in P]
 
 
 @pytest.mark.parametrize("d,k", [(4, 3), (5, 3), (5, 4)])

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from schmidt_cone import oracles
-from schmidt_cone.classify import is_k_positive, kpos_margin_grid
+from schmidt_cone.classify import is_k_positive, kpos_margin_grid, schmidt_margin_grid
 from schmidt_cone.geometry import map_region_boundary, map_region_vertices
-from schmidt_cone.linalg import _haar_qr, is_psd, max_entangled, pairing
+from schmidt_cone.linalg import _haar_qr, as_hermitian, is_psd, max_entangled, pairing, schmidt_spectrum
 from schmidt_cone.oracles import (
     Frame,
     OracleReport,
@@ -41,7 +41,7 @@ from schmidt_cone.oracles import (
     _overlap_gradient,
     _relative_min_eig,
 )
-from schmidt_cone.symmetry import CovariantMap, InvariantState, twirl_monte_carlo
+from schmidt_cone.symmetry import CovariantMap, InvariantState, apply_channel_right, twirl_monte_carlo
 from schmidt_cone.classify import schmidt_number
 
 
@@ -970,13 +970,98 @@ def test_witness_search_matches_classifier_spotwise():
         (lambda: tomiyama_check(3, 0.2, 0.1, 4), "k=4"),
         (lambda: block_positivity_falsifier(np.eye(9), 0), "k=0"),
         (lambda: block_positivity_falsifier(np.eye(9), 4), "k=4"),
+        (lambda: tomiyama_check(3, True, 0.0, 2), "boolean"),
+        (lambda: tomiyama_check(3, 0.2, np.bool_(False), 2), "boolean"),
+        (lambda: grid_agreement(3, grid_n=3, n_random=1, box=(0.1,), workers=1), "two numbers"),
+        (lambda: grid_agreement(3, grid_n=3, n_random=1, box=(0.1, 0.2, 0.3), workers=1), "two numbers"),
+        (lambda: grid_agreement(3, grid_n=3, n_random=1, box=(True, 1.0), workers=1), "boolean"),
     ],
-    ids=["box-nan", "box-inf", "tomiyama-nan", "tomiyama-k0", "tomiyama-k4", "falsifier-k0", "falsifier-k4"],
+    ids=["box-nan", "box-inf", "tomiyama-nan", "tomiyama-k0", "tomiyama-k4", "falsifier-k0", "falsifier-k4",
+         "tomiyama-bool-p", "tomiyama-bool-q", "box-one", "box-three", "box-bool"],
 )
 def test_an_oracle_refuses_a_non_finite_box_or_point_and_a_k_outside_1_to_d(call, err):
     # a NaN box used to give a consistent report, and k = 0 an IndexError
     with pytest.raises(ValueError, match=err):
         call()
+
+
+_GRID = np.array([0.1, 0.2])
+# each entry point that takes a numeric array, with an array it accepts
+_ARRAY_INPUTS = {
+    "kpos_margin_grid": (lambda X: kpos_margin_grid(3, 2, X, _GRID), _GRID),
+    "schmidt_margin_grid": (lambda X: schmidt_margin_grid(3, 2, _GRID, X), _GRID),
+    "block_conditions_grid": (lambda X: block_conditions_grid(3, X, _GRID, 2, 1.0), _GRID),
+    "as_hermitian": (as_hermitian, np.eye(4)),
+    "is_psd": (is_psd, np.eye(4)),
+    "schmidt_spectrum": (lambda X: schmidt_spectrum(X, 2, 2), np.array([1.0, 0.0, 0.0, 0.0])),
+    "Frame": (lambda X: Frame(3, 2, X), np.eye(3, 2)),
+    "CovariantMap.apply": (lambda X: CovariantMap(3, 0.1, 0.1).apply(X), np.eye(3)),
+    "apply_channel_right": (lambda X: apply_channel_right(CovariantMap(3, 0.1, 0.1), X), np.eye(9)),
+}
+_REAL_GRIDS = ("kpos_margin_grid", "schmidt_margin_grid", "block_conditions_grid")
+
+
+def _spoiled(X, how):
+    if how == "bool":
+        return X.astype(bool)
+    if how == "text":
+        return X.astype(str)
+    if how == "complex":
+        return X + 0.5j
+    X = X.copy()
+    X.flat[-1] = {"nan": np.nan, "inf": -np.inf}[how]
+    return X
+
+
+@pytest.mark.parametrize(
+    "name, how",
+    [(name, how) for name in _ARRAY_INPUTS for how in ("nan", "inf", "bool")]
+    + [(name, how) for name in _REAL_GRIDS for how in ("text", "complex")],
+)
+def test_every_array_entry_point_refuses_a_non_finite_bool_or_text_array(name, how):
+    # a NaN grid point used to give a NaN margin, a NaN matrix a NaN image,
+    # a bool matrix a PSD verdict, and a text or complex grid a block verdict
+    call, valid = _ARRAY_INPUTS[name]
+    call(valid)
+    message = {"nan": "non-finite entry", "inf": "non-finite entry", "bool": "bool array",
+               "text": "<U32 array", "complex": "complex128 array"}[how]
+    with pytest.raises(ValueError, match=message):
+        call(_spoiled(valid, how))
+
+
+def test_tomiyama_check_refuses_a_text_point_as_the_classifier_does():
+    # "0.2" used to be read as 0.2 and the point reported consistent
+    with pytest.raises(TypeError):
+        tomiyama_check(3, "0.2", "0.1", 2)
+    with pytest.raises(TypeError):
+        is_k_positive(3, "0.2", "0.1", 2)
+    with pytest.raises(TypeError):
+        grid_agreement(3, grid_n=3, n_random=1, box=("-0.5", "1"), workers=1)
+
+
+def test_grid_agreement_starts_no_more_workers_than_it_has_tasks(monkeypatch):
+    # under fork, a pool starts all max_workers at its first submit
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", SerialPool)
+    serial = grid_agreement(2, grid_n=5, n_random=2, workers=1).to_dict()
+    assert opened == []
+    assert grid_agreement(2, grid_n=5, n_random=2, workers=64).to_dict() == serial  # 2 tasks
+    grid_agreement(3, grid_n=12, n_random=2, workers=4)  # 6 tasks
+    assert opened == [2, 4]
 
 
 @pytest.mark.parametrize(
