@@ -18,9 +18,9 @@ whenever the inputs are rationals.  The five-point fit and exact margins work
 on the integer numerators of each point over its common denominator (as w):
 the fit by fraction-free integer elimination, the margins by the same table
 rows, so boundary classification never depends on rounding.  Arc sampling is
-always floating point.  The record types are immutable named tuples, so a
-boundary and the polyline traced from it are built once and shared (the last
-64 of each are kept per process).
+always floating point.  The record types are immutable named tuples, built once
+and shared through one bounded LRU (``_cached``): the last 8,192 records of each
+per-(d, k) builder, and the last 64 boundaries and polylines, are kept per process.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 
 __all__ = [
     "Conic",
@@ -97,10 +97,14 @@ def _check_finite(*vals):
 def _finite_array(X, dtype=float):
     """X as an array of ``dtype``, float or complex: the one rule for numeric array input.
 
-    Refuses a bool or text dtype, a complex one for float, and a NaN or infinite entry.
+    Refuses a bool or text dtype, a complex one for float, and a NaN or infinite entry;
+    input that is not yet an array is read entry by entry, so a bool in a list is refused.
     """
     import numpy as np
 
+    if not isinstance(X, np.ndarray):
+        if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(X, dtype=object).flat):
+            raise ValueError(f"bool entry where {dtype.__name__} entries are expected")
     X = np.asarray(X)
     if X.dtype.kind not in ("iufcO" if dtype is complex else "iufO"):
         raise ValueError(f"{X.dtype} array where {dtype.__name__} entries are expected")
@@ -119,20 +123,28 @@ def _check_integer(v, name: str):
         raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
-def _cached(fn):
-    """fn under lru_cache, its leading (d, k) checked to be integers first.
+def _cached(fn, kept=8192):
+    """fn under an LRU of its last ``kept`` records, its leading (d, k) checked as integers first.
 
     The cache hashes its arguments before fn runs, so without the check an
     unhashable d or k, such as a 0-d numpy array, raised ``TypeError`` there
     instead of the ``ValueError`` that region_case gives.  A numpy-integer d
-    or k shares the entry of the equal Python int.
+    or k shares the entry of the equal Python int.  Keyword and default arguments
+    are put in position first, so ``kpos_conic(5, 3, exact=True)`` is
+    ``kpos_conic(5, 3, True)``.  8,192 hold a profile's case-3 records to d ~ 16,000.
     """
-    cached = lru_cache(maxsize=None)(fn)
+    cached = lru_cache(maxsize=kept)(fn)
+    names = fn.__code__.co_varnames[2 : fn.__code__.co_argcount]
+    defaults = dict(zip(reversed(names), reversed(fn.__defaults__ or ())))
 
     @wraps(cached)
     def checked(d, k, *args, **kwargs):
         _check_integer(d, "d")
         _check_integer(k, "k")
+        for name in names[len(args) :]:
+            if name not in kwargs and name not in defaults:
+                break  # a missing argument: the call below raises TypeError, as fn would
+            args += (kwargs.pop(name, defaults.get(name)),)
         return cached(d, k, *args, **kwargs)
 
     checked.cache_clear = cached.cache_clear
@@ -235,8 +247,8 @@ def kpos_conic(d: int, k: int, exact: bool = False) -> Conic:
 
     A = kd-1, B = -(d^3 - kd^2 - kd - d + 2), C = d-1, D = -(kd-2),
     E = -(d-2), F = -1.  Constructible for any k; geometrically relevant for
-    d/2 < k < d.  Built once per (d, k, exact): every float classification in
-    case 3 evaluates it, and a Conic is frozen, so callers share it.
+    d/2 < k < d.  Built once per (d, k, exact) among the last 8,192: every float
+    classification in case 3 evaluates it, and a Conic is frozen, so callers share it.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -728,8 +740,8 @@ def conic_arc_points(conic: Conic, start, end, n: int, anchor) -> list[tuple]:
 _KEPT = 64
 
 
-@lru_cache(maxsize=_KEPT)
-def _built_boundary(kind: str, d: int, k: int, arc_samples: int) -> RegionBoundary:
+@partial(_cached, kept=_KEPT)
+def _boundary(d: int, k: int, kind: str, arc_samples: int) -> RegionBoundary:
     row = _REGIONS[kind, region_case(d, k)]
     verts = _vertices(d, k, kind, False)
     if row.conic is None:
@@ -740,21 +752,14 @@ def _built_boundary(kind: str, d: int, k: int, arc_samples: int) -> RegionBounda
     return RegionBoundary(vertices=verts, arcs=(arc,))
 
 
-def _region_boundary(kind: str, d: int, k: int, arc_samples: int) -> RegionBoundary:
-    """The cached boundary; the arguments are checked first, so an unhashable one is
-    refused with ValueError, and a numpy integer shares the entry of its value."""
-    region_case(d, k)
-    _check_counts(2, arc_samples=arc_samples)  # in every case, with or without an arc to sample
-    return _built_boundary(kind, int(d), int(k), int(arc_samples))
-
-
 def map_region_boundary(d: int, k: int, arc_samples: int = 64) -> RegionBoundary:
     """Boundary of the k-positivity region with the conic arc sampled.
 
     Built once per (d, k, arc_samples) and shared: the last ``_KEPT`` are
     kept, and a call with the same arguments returns the same object.
     """
-    return _region_boundary("map", d, k, arc_samples)
+    _check_counts(2, arc_samples=arc_samples)  # in every case, with or without an arc to sample
+    return _boundary(d, k, "map", arc_samples)
 
 
 def state_region_boundary(d: int, k: int, arc_samples: int = 64) -> RegionBoundary:
@@ -762,7 +767,8 @@ def state_region_boundary(d: int, k: int, arc_samples: int = 64) -> RegionBounda
 
     Built once per (d, k, arc_samples) and shared, as ``map_region_boundary``.
     """
-    return _region_boundary("state", d, k, arc_samples)
+    _check_counts(2, arc_samples=arc_samples)
+    return _boundary(d, k, "state", arc_samples)
 
 
 # points: the traversal (vertices, then the arc samples between the arc's

@@ -81,6 +81,47 @@ def test_a_numpy_integer_d_or_k_shares_the_cache_entry_of_the_python_int():
         assert build.__wrapped__.cache_info().currsize == size
 
 
+def test_a_record_has_one_cache_entry_however_its_arguments_are_spelled():
+    # the table passes exact by position, the CLI and the bench by keyword,
+    # and each spelling used to build and keep its own copy
+    kpos_conic.cache_clear()
+    first = kpos_conic(5, 3, exact=True)
+    for same in (kpos_conic(5, 3, True), kpos_conic(d=5, k=3, exact=True)):
+        assert same is first is kpos_conic.__wrapped__(5, 3, True)  # the table's positional lookup
+    assert kpos_conic(5, 3) is kpos_conic(5, 3, False) is kpos_conic(5, 3, exact=False)
+    assert kpos_conic.__wrapped__.cache_info().currsize == 2
+    dual_conic.cache_clear()
+    assert dual_conic(7, 5) is dual_conic(7, 5, True) is dual_conic(7, 5, exact=True)
+    assert dual_conic.__wrapped__.cache_info().currsize == 1
+    for wrong in ({"exac": True}, {"exact": True, "d": 5}):
+        with pytest.raises(TypeError):
+            kpos_conic(5, 3, **wrong)
+    with pytest.raises(TypeError):
+        kpos_conic(5, 3, True, exact=True)
+    with pytest.raises(TypeError):
+        geometry._vertices(5, 3, exact=True)
+    assert kpos_conic.__wrapped__.cache_info().currsize == 2
+
+
+def test_every_cached_record_is_bounded():
+    # more (d, k, exact) records than the bound, and more boundaries than theirs
+    for d in range(2, 131):
+        for k in range(1, d + 1):
+            for exact in (False, True):
+                kpos_conic(d, k, exact=exact)
+                map_region_vertices(d, k, exact)
+    for d in range(2, 13):
+        for k in range(1, d + 1):
+            map_region_boundary(d, k, arc_samples=3)
+    kept = {kpos_conic: 8192, geometry._dual: 8192, dual_conic: 8192, geometry._vertices: 8192,
+            geometry._boundary: 64}
+    for build, maxsize in kept.items():
+        info = build.__wrapped__.cache_info()
+        assert info.maxsize == maxsize and info.currsize <= maxsize
+    for build, full in ((kpos_conic, 8192), (geometry._vertices, 8192), (geometry._boundary, 64)):
+        assert build.__wrapped__.cache_info().currsize == full
+
+
 def test_kpos_conic_d5_matches_display():
     for k in (3, 4):
         expected = (5 * k - 1, -(122 - 30 * k), 4, -(5 * k - 2), -3, -1)
@@ -911,7 +952,7 @@ def test_a_cached_boundary_equals_a_fresh_build():
             for k in range(1, d + 1):
                 for n in (2, 3, 64, 257):
                     rb = boundary(d, k, arc_samples=n)
-                    fresh = geometry._built_boundary.__wrapped__(kind, d, k, n)
+                    fresh = geometry._boundary.__wrapped__.__wrapped__(d, k, kind, n)
                     assert rb == fresh and repr(rb) == repr(fresh)
                     assert boundary(d, k, arc_samples=np.int64(n)) is rb
     assert map_region_boundary(np.int64(4), np.int64(3)) is map_region_boundary(4, 3)
@@ -928,7 +969,7 @@ def test_each_boundary_samples_its_arc_once_per_process(monkeypatch, capsys):
         return sample(*args, **kwargs)
 
     monkeypatch.setattr(geometry, "conic_arc_points", counted)
-    geometry._built_boundary.cache_clear()
+    geometry._boundary.cache_clear()
     for n in (64, 256):
         rb = map_region_boundary(4, 3, arc_samples=n)
         assert witness_points(4, 3, arc_samples=n) == list(geometry._polyline(rb).points)

@@ -1008,6 +1008,10 @@ def _spoiled(X, how):
         return X.astype(str)
     if how == "complex":
         return X + 0.5j
+    if how == "bool in a list":
+        X = X.astype(object)
+        X.flat[0] = True
+        return X.tolist()
     X = X.copy()
     X.flat[-1] = {"nan": np.nan, "inf": -np.inf}[how]
     return X
@@ -1015,7 +1019,7 @@ def _spoiled(X, how):
 
 @pytest.mark.parametrize(
     "name, how",
-    [(name, how) for name in _ARRAY_INPUTS for how in ("nan", "inf", "bool")]
+    [(name, how) for name in _ARRAY_INPUTS for how in ("nan", "inf", "bool", "bool in a list")]
     + [(name, how) for name in _REAL_GRIDS for how in ("text", "complex")],
 )
 def test_every_array_entry_point_refuses_a_non_finite_bool_or_text_array(name, how):
@@ -1024,7 +1028,8 @@ def test_every_array_entry_point_refuses_a_non_finite_bool_or_text_array(name, h
     call, valid = _ARRAY_INPUTS[name]
     call(valid)
     message = {"nan": "non-finite entry", "inf": "non-finite entry", "bool": "bool array",
-               "text": "<U32 array", "complex": "complex128 array"}[how]
+               "text": "<U32 array", "complex": "complex128 array",
+               "bool in a list": "bool entry"}[how]
     with pytest.raises(ValueError, match=message):
         call(_spoiled(valid, how))
 
