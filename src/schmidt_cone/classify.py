@@ -26,6 +26,13 @@ ellipse OR the five-line system) the margin is the max of the two parts.
 The constraint systems themselves are not written here: they live in the
 region table of ``geometry``, and ``geometry.region_margin`` evaluates them
 for the scalar decisions and the vectorized margin grids alike.
+
+A margin grid (``kpos_margin_grid``, ``schmidt_margin_grid``) runs that
+evaluation on ``_BLOCK`` points at a time and reduces each block in place
+into the one result array.  Over the whole grid at once, every slack was a
+full-size temporary and the reduction stacked them all into one more: a call
+peaked at 9 to 12 times its output and page-faulted fresh memory in.  A
+block's temporaries are 64 KiB each, recycled from the heap and kept in cache.
 """
 
 from __future__ import annotations
@@ -50,6 +57,9 @@ __all__ = [
 ]
 
 BOUNDARY_TOL = 1e-9
+# points per block of a margin grid: 64 KiB of float64, under glibc's 128 KiB
+# mmap threshold, so a block's dozen temporaries come from the heap and stay in L2
+_BLOCK = 8192
 
 
 class MembershipVerdict(namedtuple("MembershipVerdict", "status margin")):
@@ -214,7 +224,31 @@ def schmidt_margin_grid(d: int, k: int, A, B):
 
 
 def _margin_grid(kind: str, d: int, k: int, X, Y):
+    """The region margin at every broadcast point of (X, Y), _BLOCK points at a time.
+
+    Each block of the one result array is reduced in place (np.minimum and
+    np.maximum with out=), so no slack list is stacked; the values are those of
+    region_margin on the whole arrays, bit for bit.  A 0-d input gives an np.float64.
+    """
     import numpy as np
 
     X, Y = _finite_array(X), _finite_array(Y)
-    return region_margin(kind, d, k, X, Y, np.minimum.reduce, np.maximum)
+    if X.shape != Y.shape:  # broadcast_arrays costs 3 µs even with nothing to do
+        X, Y = np.broadcast_arrays(X, Y)
+    out = np.empty(X.shape)
+    flat, X, Y = out.reshape(-1), X.ravel(), Y.ravel()  # views unless X, Y are not C-contiguous
+
+    # both reducers write into the current block, blk, which the loop rebinds
+    def lowest(slacks):
+        np.minimum(slacks[0], slacks[1], out=blk)
+        for s in slacks[2:]:
+            np.minimum(blk, s, out=blk)
+        return blk
+
+    def highest(m, inner):
+        return np.maximum(m, inner, out=blk)
+
+    for b in range(0, flat.size, _BLOCK):
+        blk = flat[b : b + _BLOCK]
+        region_margin(kind, d, k, X[b : b + _BLOCK], Y[b : b + _BLOCK], lowest, highest)
+    return out[()]

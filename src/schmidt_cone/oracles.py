@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classify import is_k_positive, kpos_margin_grid, schmidt_margin_grid
+from .classify import _BLOCK, is_k_positive, kpos_margin_grid, schmidt_margin_grid
 from .geometry import _check_counts, _check_finite, _check_tolerances, _finite_array, _is_exact, _polyline
 from .geometry import map_region_boundary, region_case, state_region_vertices
 from .linalg import _as_bipartite_hermitian, _haar_qr
@@ -731,6 +731,11 @@ def witness_grid_check(
     each region boundary.  grid_n must be at least 1, and band finite and >= 0;
     a grid that leaves no point to check (grid_n 1 or 2) is refused.  No margin
     is measured, so worst_margin stays null.
+
+    The (points x witness points) pairing table is evaluated in blocks of rows
+    of at most ``_BLOCK`` entries, as the margin grids are: a whole table and
+    its temporaries grew as grid_n^2 (122 MB at d=6, grid_n=200), while a
+    block stays in cache and on the heap.
     """
     _check_counts(1, grid_n=grid_n)
     _check_tolerances(band)
@@ -745,9 +750,12 @@ def witness_grid_check(
         mk = schmidt_margin_grid(d, k, A, B)
         sel = (m_state > band) & (np.abs(mk) > band)
         pts_a, pts_b, expect = A[sel], B[sel], (mk[sel] < 0)
-        wpts = np.asarray(witness_points(d, k, arc_samples), dtype=float)
-        vals = _witness_form(d, pts_a[:, None], pts_b[:, None], wpts[:, 0], wpts[:, 1])
-        found = (vals < -1e-12).any(axis=1)
+        p, q = np.asarray(witness_points(d, k, arc_samples), dtype=float).T
+        found = np.empty(expect.size, dtype=bool)
+        rows = max(1, _BLOCK // p.size)  # table rows per block
+        for r in range(0, found.size, rows):
+            vals = _witness_form(d, pts_a[r : r + rows, None], pts_b[r : r + rows, None], p, q)
+            found[r : r + rows] = (vals < -1e-12).any(axis=1)
         checked += int(sel.sum())
         bad = np.nonzero(found != expect)[0]
         for i in bad[:5]:

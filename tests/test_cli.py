@@ -251,6 +251,13 @@ def test_classify_matches_golden(capsys, golden, command):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+def test_verify_witness_matches_golden(capsys):
+    # the witness suite's report, its pairing table evaluated in blocks, byte for byte
+    code, out = run_cli(capsys, "verify", "--suite", "witness", "--d", "4", "--grid", "40")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "verify_witness_d4.json").read_bytes()
+
+
 @pytest.mark.parametrize("dual", [[], ["--dual"]])
 @pytest.mark.parametrize("k", ["-1", "0", "5"])
 def test_conic_refuses_k_outside_1_to_d(capsys, k, dual):

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -938,6 +939,18 @@ def test_tomiyama_check_with_no_random_frames_tests_the_explicit_ones():
 def test_witness_grid_check_small():
     rep = witness_grid_check(4, grid_n=40)
     assert rep.consistent
+
+
+def test_witness_grid_check_pairs_its_table_in_blocks():
+    # the whole (points x witness points) table of a d=6, grid_n=200 check peaked at 122 MB
+    witness_grid_check(6, grid_n=20)  # the boundaries are traced before tracing memory
+    tracemalloc.start()
+    try:
+        rep = witness_grid_check(6, grid_n=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.consistent and peak < 8e6, peak
 
 
 def test_witness_search_matches_classifier_spotwise():
