@@ -157,7 +157,6 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_conic(args) -> int:
-    geometry.region_case(args.d, args.k)  # refuses k outside 1..d, as region does
     conic = (geometry.dual_conic if args.dual else geometry.kpos_conic)(args.d, args.k, exact=True)
     payload = {
         "d": args.d,

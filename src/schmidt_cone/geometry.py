@@ -114,21 +114,12 @@ def _finite_array(X, dtype=float):
     return X
 
 
-def _check_integer(v, name: str):
-    if type(v) is int:
-        return
-    import numpy as np
-
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
 def _cached(fn, kept=8192):
-    """fn under an LRU of its last ``kept`` records, its leading (d, k) checked as integers first.
+    """fn under an LRU of its last ``kept`` records, region_case run on its leading (d, k) first.
 
     The cache hashes its arguments before fn runs, so without the check an
-    unhashable d or k, such as a 0-d numpy array, raised ``TypeError`` there
-    instead of the ``ValueError`` that region_case gives.  A numpy-integer d
+    unhashable d or k, such as a 0-d numpy array, raised ``TypeError`` there;
+    no builder answers a d or k that region_case refuses.  A numpy-integer d
     or k shares the entry of the equal Python int.  Keyword and default arguments
     are put in position first, so ``kpos_conic(5, 3, exact=True)`` is
     ``kpos_conic(5, 3, True)``.  8,192 hold a profile's case-3 records to d ~ 16,000.
@@ -139,8 +130,7 @@ def _cached(fn, kept=8192):
 
     @wraps(cached)
     def checked(d, k, *args, **kwargs):
-        _check_integer(d, "d")
-        _check_integer(k, "k")
+        region_case(d, k)
         for name in names[len(args) :]:
             if name not in kwargs and name not in defaults:
                 break  # a missing argument: the call below raises TypeError, as fn would
@@ -246,12 +236,10 @@ def kpos_conic(d: int, k: int, exact: bool = False) -> Conic:
     """The boundary conic of the k-positivity region (integer coefficients).
 
     A = kd-1, B = -(d^3 - kd^2 - kd - d + 2), C = d-1, D = -(kd-2),
-    E = -(d-2), F = -1.  Constructible for any k; geometrically relevant for
+    E = -(d-2), F = -1.  Built for the (d, k) region_case accepts, relevant for
     d/2 < k < d.  Built once per (d, k, exact) among the last 8,192: every float
     classification in case 3 evaluates it, and a Conic is frozen, so callers share it.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
     d, k = int(d), int(k)  # a numpy integer would overflow
     coeffs = (
         k * d - 1,
@@ -274,12 +262,14 @@ def pairing_map(d: int, pt: tuple) -> tuple:
 
     (x, y) -> -(d-1) * ((d+1)x + y, x + (d+1)y).  Exact when the input is.
     """
+    region_case(d, 1)
     x, y = pt
     return (-(d - 1) * ((d + 1) * x + y), -(d - 1) * (x + (d + 1) * y))
 
 
 def pairing_map_inv(d: int, pt: tuple) -> tuple:
     """Exact inverse of pairing_map; determinant (d-1)^2 (d^2 + 2d) != 0."""
+    region_case(d, 1)
     u, v = pt
     inv = Fraction(1, (d - 1) * (d * d + 2 * d))  # a float times it is a float
     return ((v - (d + 1) * u) * inv, (u - (d + 1) * v) * inv)
@@ -490,12 +480,15 @@ def tangency_discriminant(conic: Conic, line: HalfPlane):
 def region_case(d: int, k: int) -> int:
     """Which of the four geometric cases (k, d) falls in: 1, 2, 3 or 4.
 
-    d and k must be Python or numpy integers: a float or bool raises
-    ``ValueError``, as a d or k out of range does.
+    The one rule for (d, k): a d or k that is not a Python or numpy integer (a
+    float, bool or 0-d array), d < 2 or k outside 1..d raises ``ValueError``.
     """
     if type(d) is not int or type(k) is not int:
-        _check_integer(d, "d")
-        _check_integer(k, "k")
+        import numpy as np
+
+        for name, v in (("d", d), ("k", k)):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
     if d < 2:
         raise ValueError("d must be >= 2")
     if not 1 <= k <= d:
@@ -571,7 +564,7 @@ def _region(*lines, **conic) -> _Region:
 
 _TRIANGLE = _region(_L1, _L8, _L5)  # k = d: the map and state regions coincide
 # every reader of the table has run region_case, so the conics are its caches
-# themselves (__wrapped__), without the integer check in front of them
+# themselves (__wrapped__), without the region_case check in front of them
 _REGIONS = {
     ("map", 1): _region(_L1, _L4, _L2, _L3),
     ("map", 2): _region(_L1, _L6, _L7, _L5),

@@ -21,10 +21,10 @@ __all__ = [
 ]
 
 
-def as_hermitian(X, tol: float = 1e-12) -> np.ndarray:
+def as_hermitian(X) -> np.ndarray:
     """Validate that X is a finite square Hermitian matrix and return it as complex ndarray.
 
-    Hermiticity is checked against an absolute tolerance of ``tol * max(1, frobenius_norm)``.
+    Hermiticity is checked against an absolute tolerance of ``1e-12 * max(1, frobenius_norm)``.
     A violation, a bool or text X, or a NaN or infinite entry raises ValueError.
     """
     X = _finite_array(X, complex)
@@ -32,7 +32,7 @@ def as_hermitian(X, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {X.shape}")
     scale = max(1.0, float(np.linalg.norm(X)))
     dev = float(np.max(np.abs(X - X.conj().T)))
-    if dev > tol * scale:
+    if dev > 1e-12 * scale:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return X
 
@@ -85,8 +85,10 @@ def schmidt_spectrum(vec, dim_a: int, dim_b: int, tol: float = 1e-12) -> np.ndar
     The vector of length ``dim_a * dim_b`` is reshaped row-major to a
     dim_a x dim_b matrix (index (i, j) -> i * dim_b + j, matching ``np.kron``)
     and its singular values above ``tol``, as many as the Schmidt rank, are
-    returned (none for a zero vector).  A NaN, inf, bool or text entry is refused.
+    returned (none for a zero vector).  A NaN, inf, bool or text entry is
+    refused, as is a NaN, infinite, negative or bool ``tol``.
     """
+    _check_tolerances(tol)
     vec = _finite_array(vec, complex).reshape(-1)
     _check_counts(1, dim_a=dim_a, dim_b=dim_b)
     if vec.size != dim_a * dim_b:

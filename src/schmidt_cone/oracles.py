@@ -90,8 +90,8 @@ def default_workers() -> int:
 class Frame:
     """Ordered orthonormal k-tuple of complex d-vectors (columns of ``vectors``).
 
-    A wrong shape, a NaN, infinite, bool or text entry, or columns that are
-    not orthonormal within 1e-10 raise ``ValueError``.
+    A (d, k) that region_case refuses, a wrong shape, a NaN, infinite, bool or text
+    entry, or columns that are not orthonormal within 1e-10 raise ``ValueError``.
     """
 
     d: int
@@ -99,6 +99,7 @@ class Frame:
     vectors: np.ndarray
 
     def __post_init__(self):
+        region_case(self.d, self.k)
         v = _finite_array(self.vectors, complex)  # a NaN Gram deviation would pass the test below
         if v.shape != (self.d, self.k):
             raise ValueError(f"expected shape ({self.d}, {self.k}), got {v.shape}")
@@ -109,20 +110,25 @@ class Frame:
 
 
 def standard_frame(d: int, k: int) -> Frame:
-    """The first k standard basis vectors (a real frame)."""
+    """The first k standard basis vectors (a real frame); refuses what region_case refuses."""
+    region_case(d, k)
     return Frame(d, k, np.eye(d, k, dtype=complex))
 
 
 def fourier_frame(d: int, k: int) -> Frame:
-    """v_j = (1/sqrt(d)) sum_l omega^{l(j-1)} e_l with omega = exp(2 pi i / d)."""
+    """v_j = (1/sqrt(d)) sum_l omega^{l(j-1)} e_l with omega = exp(2 pi i / d).
+
+    Refuses what region_case refuses.
+    """
+    region_case(d, k)
     l = np.arange(1, d + 1)[:, None]
     j = np.arange(k)[None, :]
     return Frame(d, k, np.exp(2j * np.pi * l * j / d) / np.sqrt(d))
 
 
 def pair_frame(d: int, k: int) -> Frame:
-    """v_j = (e_{2j-1} + i e_{2j}) / sqrt(2); requires 2k <= d."""
-    if 2 * k > d:
+    """v_j = (e_{2j-1} + i e_{2j}) / sqrt(2); requires 2k <= d, region_case 1 or 2."""
+    if region_case(d, k) > 2:
         raise ValueError("pair frame needs 2k <= d")
     v = np.zeros((d, k), dtype=complex)
     for j in range(k):
@@ -133,7 +139,6 @@ def pair_frame(d: int, k: int) -> Frame:
 
 def explicit_frames(d: int, k: int) -> list[tuple[str, Frame]]:
     """The named frames used before any random search: standard, fourier, pair."""
-    region_case(d, k)
     out = [("standard", standard_frame(d, k)), ("fourier", fourier_frame(d, k))]
     if 2 * k <= d:
         out.append(("pair", pair_frame(d, k)))
@@ -250,9 +255,8 @@ def tomiyama_check(
     """
     _check_tolerances(tol)
     _check_counts(0, n_random=n_random, seed=seed)
-    region_case(d, k)
     m = CovariantMap(d, p, q)  # refuses a NaN, infinite, bool or text point
-    expl = explicit_frames(d, k)
+    expl = explicit_frames(d, k)  # refuses a k outside 1..d
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d, k)))
     V = np.concatenate([[fr.vectors for _, fr in expl], random_frames(d, k, n_random, rng)])
     M = np.empty((len(V), k * d, k * d), dtype=complex)

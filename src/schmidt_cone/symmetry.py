@@ -90,7 +90,8 @@ class InvariantState:
 
 
 def commutant_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ordered basis (I, d|Omega><Omega|, F) of the O x O commutant."""
+    """Ordered basis (I, d|Omega><Omega|, F) of the O x O commutant, d as region_case takes."""
+    region_case(d, 1)
     omega = max_entangled(d)
     return (
         np.eye(d * d, dtype=complex),
@@ -103,8 +104,9 @@ def commutant_gram(d: int) -> np.ndarray:
     """Gram matrix Tr(G_i G_j) of the commutant basis.
 
     Closed form fixed after brute-force trace computation at d = 2..5 (see
-    tests): diagonal d^2, off-diagonal d.
+    tests): diagonal d^2, off-diagonal d.  Refuses the d that region_case refuses.
     """
+    region_case(d, 1)
     G = np.full((3, 3), float(d))
     np.fill_diagonal(G, float(d * d))
     return G

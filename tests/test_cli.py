@@ -258,6 +258,13 @@ def test_verify_witness_matches_golden(capsys):
     assert out.encode() == (GOLDEN / "verify_witness_d4.json").read_bytes()
 
 
+def test_witness_matches_golden(capsys):
+    # a found witness of the invariant state, its pairing printed to the last digit
+    code, out = run_cli(capsys, "witness", "--d", "5", "--a", "2/5", "--b", "-1/10", "--k", "2")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "witness_d5_k2.json").read_bytes()
+
+
 @pytest.mark.parametrize("dual", [[], ["--dual"]])
 @pytest.mark.parametrize("k", ["-1", "0", "5"])
 def test_conic_refuses_k_outside_1_to_d(capsys, k, dual):

@@ -122,6 +122,14 @@ def test_every_cached_record_is_bounded():
         assert build.__wrapped__.cache_info().currsize == full
 
 
+@pytest.mark.parametrize("k", [0, 5])
+@pytest.mark.parametrize("exact", [False, True])
+def test_kpos_conic_refuses_a_k_outside_1_to_d(k, exact):
+    # kpos_conic(4, -3) used to build a conic, as every k did
+    with pytest.raises(ValueError, match=f"k={k} out of range 1..4"):
+        kpos_conic(4, k, exact=exact)
+
+
 def test_kpos_conic_d5_matches_display():
     for k in (3, 4):
         expected = (5 * k - 1, -(122 - 30 * k), 4, -(5 * k - 2), -3, -1)

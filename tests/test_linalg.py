@@ -5,6 +5,7 @@ import pytest
 
 from schmidt_cone.linalg import (
     _haar_qr,
+    as_hermitian,
     flip,
     is_psd,
     max_entangled,
@@ -83,6 +84,22 @@ def test_schmidt_spectrum_refuses_a_non_finite_entry(bad):
     v = np.array([bad, 0, 0, 1.0], dtype=complex)
     with pytest.raises(ValueError, match="non-finite entry"):
         schmidt_spectrum(v, 2, 2)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, True])
+def test_schmidt_spectrum_refuses_a_nan_infinite_negative_or_bool_tolerance(tol):
+    # tol=nan used to return no coefficients, read as Schmidt rank 0
+    with pytest.raises(ValueError, match="input|negative tolerance"):
+        schmidt_spectrum(np.array([1.0, 0, 0, 1.0]), 2, 2, tol=tol)
+
+
+def test_as_hermitian_takes_no_tolerance():
+    # tol=nan used to pass a non-Hermitian matrix; the tolerance is 1e-12 alone
+    with pytest.raises(TypeError):
+        as_hermitian([[0, 1], [0, 0]], tol=float("nan"))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        as_hermitian([[0, 1], [0, 0]])
+    assert as_hermitian([[1, 1 + 1e-13], [1, 1]]).dtype == complex
 
 
 def _lapack_haar_qr(g):

@@ -8,7 +8,8 @@ import pytest
 
 from schmidt_cone import oracles
 from schmidt_cone.classify import is_k_positive, kpos_margin_grid, schmidt_margin_grid
-from schmidt_cone.geometry import map_region_boundary, map_region_vertices
+from schmidt_cone.geometry import kpos_conic, map_region_boundary, map_region_vertices
+from schmidt_cone.geometry import pairing_map, pairing_map_inv, witness_halfplane
 from schmidt_cone.linalg import _haar_qr, as_hermitian, is_psd, max_entangled, pairing, schmidt_spectrum
 from schmidt_cone.oracles import (
     Frame,
@@ -43,6 +44,7 @@ from schmidt_cone.oracles import (
     _relative_min_eig,
 )
 from schmidt_cone.symmetry import CovariantMap, InvariantState, apply_channel_right, twirl_monte_carlo
+from schmidt_cone.symmetry import commutant_basis, commutant_gram
 from schmidt_cone.classify import schmidt_number
 
 
@@ -1094,6 +1096,43 @@ def test_grid_agreement_starts_no_more_workers_than_it_has_tasks(monkeypatch):
 )
 def test_a_frame_or_operator_of_the_wrong_shape_is_refused(call, err):
     with pytest.raises(ValueError, match=err):
+        call()
+
+
+_BAD_D = [(2.0, "d must be an integer"), (True, "d must be an integer"), (1, "d must be >= 2"),
+          (np.array(4), "d must be an integer")]
+_BAD_K = [(0, "k=0 out of range 1..4"), (5, "k=5 out of range 1..4"), (True, "k must be an integer"),
+          (2.0, "k must be an integer")]
+_TAKES_D = {
+    "pairing_map": lambda d: pairing_map(d, (0.1, 0.2)),
+    "pairing_map_inv": lambda d: pairing_map_inv(d, (0.1, 0.2)),
+    "witness_halfplane": lambda d: witness_halfplane(d, 0.1, 0.2),
+    "commutant_basis": commutant_basis,
+    "commutant_gram": commutant_gram,
+}
+_TAKES_D_K = {
+    "standard_frame": standard_frame,
+    "fourier_frame": fourier_frame,
+    "pair_frame": pair_frame,
+    "kpos_conic": kpos_conic,
+    "Frame": lambda d, k: Frame(d, k, np.eye(4, 1)),
+}
+
+
+@pytest.mark.parametrize(
+    "call, err",
+    [pytest.param(lambda f=f, d=d: f(d), err, id=f"{name}-d={d!r}")
+     for name, f in _TAKES_D.items() for d, err in _BAD_D]
+    + [pytest.param(lambda f=f, d=d: f(d, 1), err, id=f"{name}-d={d!r}")
+       for name, f in _TAKES_D_K.items() for d, err in _BAD_D]
+    + [pytest.param(lambda f=f, k=k: f(4, k), err, id=f"{name}-k={k!r}")
+       for name, f in _TAKES_D_K.items() for k, err in _BAD_K],
+)
+def test_every_public_d_and_k_goes_through_region_case(call, err):
+    # fourier_frame(2.0, 1) and commutant_gram(2.0) used to answer, pairing_map(True, ...)
+    # returned (0.0, 0.0), pairing_map_inv(1, ...) raised ZeroDivisionError and
+    # standard_frame(4, 0) numpy's zero-size reduction error
+    with pytest.raises(ValueError, match=re.escape(err)):
         call()
 
 
