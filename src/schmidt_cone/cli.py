@@ -117,7 +117,7 @@ _SUITES = {
     ),
     "frames": lambda o, a: o.frame_minima_check(a.d, seed=a.seed),
     "twirl": lambda o, a: o.twirl_consistency(a.d, n_samples=a.samples, seed=a.seed),
-    "witness": lambda o, a: o.witness_grid_check(a.d, grid_n=min(a.grid, 100)),
+    "witness": lambda o, a: o.witness_grid_check(a.d, grid_n=a.grid),
     "duality": lambda o, a: o.duality_sanity(a.d, seed=a.seed),
 }
 

@@ -20,7 +20,7 @@ the fit by fraction-free integer elimination, the margins by the same table
 rows, so boundary classification never depends on rounding.  Arc sampling is
 always floating point.  The record types are immutable named tuples, built once
 and shared through one bounded LRU (``_cached``): the last 8,192 records of each
-per-(d, k) builder, and the last 64 boundaries and polylines, are kept per process.
+per-(d, k) builder, and the last 64 boundaries and witness point arrays, are kept per process.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "map_region_boundary",
     "state_region_boundary",
     "conic_arc_points",
-    "region_contains",
     "region_payload",
     "region_csv",
     "region_svg",
@@ -305,7 +304,7 @@ def pole_of_tangent(conic: Conic, pt: tuple, tol: float = 1e-9) -> tuple:
     pt must be finite and lie on the conic, within tol times max(1, largest
     |coefficient|), and the tangent must miss the origin (denominator 1e-14 or
     more).  On int/Fraction input both tests run at tolerance 0, exactly.  A
-    NaN, infinite, negative or bool tol is refused, as ``region_contains`` does.
+    NaN, infinite, negative or bool tol is refused, as the classifier does.
     """
     x, y = pt
     _check_finite(x, y)
@@ -728,8 +727,9 @@ def conic_arc_points(conic: Conic, start, end, n: int, anchor) -> list[tuple]:
     return pts
 
 
-# Region boundaries kept per process, and polylines traced from them: the 54
-# (kind, d, k) of d <= 7 at one sample count fit, as do the query mix's 36.
+# Region boundaries kept per process, and witness point arrays traced from the
+# map's: the 54 (kind, d, k) of d <= 7 at one sample count fit, as do the query
+# mix's 36.
 _KEPT = 64
 
 
@@ -764,57 +764,15 @@ def state_region_boundary(d: int, k: int, arc_samples: int = 64) -> RegionBounda
     return _boundary(d, k, "state", arc_samples)
 
 
-# points: the traversal (vertices, then the arc samples between the arc's
-# ends) as float pairs.  edges: rows x0, y0, dx, dy, length over the nonzero
-# edges, from (x0, y0) along (dx, dy) times the orientation (+1 counterclockwise).
-_Polyline = namedtuple("_Polyline", "points edges")
+@partial(_cached, kept=_KEPT)
+def _witness_points(d: int, k: int, arc_samples: int):
+    """The map boundary's traversal, read-only float (n, 2): vertices, then the arc's inner samples."""
+    import numpy as np
 
-# id(rb) -> (rb, its _Polyline), oldest first.  Keyed on identity, since
-# hashing a boundary walks every sample (about 75 us at 2,048 of them); the
-# entry holds rb, so no other object can take its id while it is kept.
-_polylines: dict = {}
-
-
-def _polyline(rb: RegionBoundary) -> _Polyline:
-    """The traced polyline of rb, built once per boundary object among the last ``_KEPT``."""
-    hit = _polylines.get(id(rb))
-    if hit is None:
-        import numpy as np
-
-        pts = [(float(x), float(y)) for x, y in rb.vertices]
-        for arc in rb.arcs:
-            pts.extend((float(x), float(y)) for x, y in arc.samples[1:-1])
-        ring = list(zip(pts, pts[1:] + pts[:1]))
-        area2 = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in ring)  # the shoelace sum
-        orient = 1.0 if area2 >= 0 else -1.0
-        edges = np.array(
-            [(x0, y0, orient * (x1 - x0), orient * (y1 - y0), math.hypot(x1 - x0, y1 - y0))
-             for (x0, y0), (x1, y1) in ring],
-            dtype=float,
-        ).reshape(-1, 5).T
-        if len(_polylines) >= _KEPT:
-            del _polylines[next(iter(_polylines))]
-        hit = _polylines[id(rb)] = (rb, _Polyline(tuple(pts), edges[:, edges[4] > 0]))
-    return hit[1]
-
-
-def region_contains(rb: RegionBoundary, pt, tol: float = 1e-9) -> bool:
-    """Convex containment test against the polyline (vertices + arc samples).
-
-    pt is inside when no edge has it further than tol outside, measured as a
-    signed distance so that tol does not depend on the edge's length.  The
-    polyline, its orientation and edge lengths are traced once per boundary
-    (see ``_polyline``), and the edges are tested as arrays.  A NaN, infinite
-    or bool coordinate, and a NaN, infinite, negative or bool tol, raise
-    ``ValueError``, as in the classifier.
-    """
-    x, y = pt[0], pt[1]
-    _check_finite(x, y)
-    _check_tolerances(tol)
-    x0, y0, dx, dy, length = _polyline(rb).edges
-    # orientation times the cross product of the edge with the point's offset
-    cross = dx * (float(y) - y0) - dy * (float(x) - x0)
-    return not (cross < -float(tol) * length).any()
+    rb = _boundary(d, k, "map", arc_samples)
+    pts = np.array([*rb.vertices, *(p for arc in rb.arcs for p in arc.samples[1:-1])], dtype=float)
+    pts.flags.writeable = False
+    return pts
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from .classify import _BLOCK, is_k_positive, kpos_margin_grid, schmidt_margin_grid
-from .geometry import _check_counts, _check_finite, _check_tolerances, _finite_array, _is_exact, _polyline
-from .geometry import map_region_boundary, region_case, state_region_vertices
+from .geometry import _check_counts, _check_finite, _check_tolerances, _finite_array, _is_exact
+from .geometry import _witness_points, region_case, state_region_vertices
 from .linalg import _as_bipartite_hermitian, _haar_qr
 from .symmetry import CovariantMap, InvariantState, apply_channel_right, twirl_exact, twirl_monte_carlo
 
@@ -430,13 +430,16 @@ def witness_pairing(s: InvariantState, m: CovariantMap):
     return _witness_form(s.d, s.a, s.b, m.p, m.q)
 
 
-def witness_points(d: int, k: int, arc_samples: int = 256) -> list[tuple[float, float]]:
+def witness_points(d: int, k: int, arc_samples: int = 256) -> np.ndarray:
     """Extreme points of the k-positivity region: vertices plus arc samples (>= 2).
 
-    A fresh list of the boundary's traced polyline, the one ``region_contains``
-    tests against; both are built once per (d, k, arc_samples) and process.
+    A float (n, 2) array of the map boundary's traversal: its vertices, then the
+    arc's samples between its ends (none in the cases without an arc).  Built
+    once per (d, k, arc_samples) among the last 64, as the boundaries are, and
+    shared: the array is read-only, and a repeated call returns the same one.
     """
-    return list(_polyline(map_region_boundary(d, k, arc_samples)).points)
+    _check_counts(2, arc_samples=arc_samples)  # before the cache hashes it
+    return _witness_points(d, k, arc_samples)
 
 
 def witness_violation_search(
@@ -455,7 +458,7 @@ def witness_violation_search(
     _check_finite(threshold)
     if threshold > 0:
         raise ValueError(f"threshold must be <= 0, got {threshold!r}")
-    pts = np.asarray(witness_points(s.d, k, arc_samples), dtype=float)
+    pts = witness_points(s.d, k, arc_samples)
     vals = _witness_form(s.d, float(s.a), float(s.b), pts[:, 0], pts[:, 1])
     i = int(np.argmin(vals))
     if vals[i] < threshold:
@@ -754,7 +757,7 @@ def witness_grid_check(
         mk = schmidt_margin_grid(d, k, A, B)
         sel = (m_state > band) & (np.abs(mk) > band)
         pts_a, pts_b, expect = A[sel], B[sel], (mk[sel] < 0)
-        p, q = np.asarray(witness_points(d, k, arc_samples), dtype=float).T
+        p, q = witness_points(d, k, arc_samples).T
         found = np.empty(expect.size, dtype=bool)
         rows = max(1, _BLOCK // p.size)  # table rows per block
         for r in range(0, found.size, rows):

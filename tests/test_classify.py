@@ -23,7 +23,6 @@ from schmidt_cone.geometry import (
     kpos_conic,
     map_region_boundary,
     map_region_vertices,
-    region_contains,
     region_margin,
     state_region_boundary,
     state_region_vertices,
@@ -444,24 +443,36 @@ def test_a_margin_grid_peaks_below_twice_its_output():
     assert m.shape == (300, 300) and peak <= 2 * m.nbytes, peak / m.nbytes
 
 
+def _inside_polyline(rb, x, y, tol):
+    """Whether each point (x, y) is no further than tol outside the traced polyline of rb.
+
+    The polyline runs through the vertices, then the arcs' inner samples; its
+    edges are traced once, and the points are tested against them in blocks.
+    """
+    pts = np.array([*rb.vertices, *(p for arc in rb.arcs for p in arc.samples[1:-1])], dtype=float)
+    (x0, y0), (x1, y1) = pts.T, np.roll(pts, -1, axis=0).T
+    orient = 1.0 if np.sum(x0 * y1 - x1 * y0) >= 0 else -1.0  # the shoelace sum
+    dx, dy = x1 - x0, y1 - y0
+    length = np.hypot(dx, dy)
+    x0, y0, dx, dy, length = (v[length > 0] for v in (x0, y0, orient * dx, orient * dy, length))
+    inside = np.empty(x.size, dtype=bool)
+    for r in range(0, x.size, 256):
+        cross = dx * (y[r : r + 256, None] - y0) - dy * (x[r : r + 256, None] - x0)
+        inside[r : r + 256] = ~(cross < -tol * length).any(axis=1)
+    return inside
+
+
 def test_figure_concordance_d4():
     # classifier and boundary generator agree pixel-by-pixel off the boundary
     d = 4
     axis = np.linspace(-0.65, 1.15, 300)
     P, Q = np.meshgrid(axis, axis, indexing="ij")
     for k in range(1, d + 1):
-        m_rb = map_region_boundary(d, k, arc_samples=2048)
-        s_rb = state_region_boundary(d, k, arc_samples=2048)
-        km = kpos_margin_grid(d, k, P, Q)
-        sm = schmidt_margin_grid(d, k, P, Q)
-        sel = np.abs(km) > 1e-4
-        idx = np.nonzero(sel)
-        for i, j in zip(idx[0][::7], idx[1][::7]):
-            assert (km[i, j] > 0) == region_contains(m_rb, (P[i, j], Q[i, j]), tol=1e-7)
-        sel = np.abs(sm) > 1e-4
-        idx = np.nonzero(sel)
-        for i, j in zip(idx[0][::7], idx[1][::7]):
-            assert (sm[i, j] > 0) == region_contains(s_rb, (P[i, j], Q[i, j]), tol=1e-7)
+        for rb, margins in ((map_region_boundary(d, k, arc_samples=2048), kpos_margin_grid(d, k, P, Q)),
+                            (state_region_boundary(d, k, arc_samples=2048), schmidt_margin_grid(d, k, P, Q))):
+            sel = np.nonzero(np.abs(margins) > 1e-4)
+            sel = (sel[0][::7], sel[1][::7])
+            assert np.array_equal(margins[sel] > 0, _inside_polyline(rb, P[sel], Q[sel], tol=1e-7))
 
 
 def test_result_types_are_immutable_picklable_named_tuples():

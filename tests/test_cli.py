@@ -339,6 +339,14 @@ def test_verify_witness_and_duality_suites(capsys):
     assert json.loads(out)["reports"]["duality"]["verdict"] == "consistent"
 
 
+def test_verify_witness_runs_the_grid_it_is_given(capsys):
+    # a grid above 100 used to be cut to 100
+    code, out = run_cli(capsys, "verify", "--suite", "witness", "--d", "3", "--grid", "150")
+    assert code == 0
+    report = json.loads(out)["reports"]["witness"]
+    assert report["verdict"] == "consistent" and report["details"]["grid"] == 150
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["classify-map", "--d", "4", "--p", "zzz", "--q", "0"])

@@ -20,7 +20,6 @@ from schmidt_cone.geometry import (
     pairing_map_inv,
     pole_of_tangent,
     region_case,
-    region_contains,
     region_csv,
     region_payload,
     region_svg,
@@ -908,34 +907,6 @@ def test_region_svg_escapes_style_values_and_refuses_unknown_keys():
             region_svg(rb, style)
 
 
-def test_region_contains():
-    rb = map_region_boundary(4, 3, arc_samples=256)
-    assert region_contains(rb, (0.0, 0.0))
-    assert region_contains(rb, (0.9, 0.01))
-    assert not region_contains(rb, (1.05, 0.0))
-    assert not region_contains(rb, (-0.2, 0.0))
-
-
-@pytest.mark.parametrize(
-    "pt,tol,message",
-    [
-        ((math.nan, 0.0), 1e-9, "non-finite"),
-        ((0.0, np.float64("inf")), 1e-9, "non-finite"),
-        ((True, False), 1e-9, "boolean"),
-        ((0.1, np.bool_(False)), 1e-9, "boolean"),
-        ((0.1, 0.1), math.nan, "non-finite"),
-        ((5.0, 5.0), math.inf, "non-finite"),
-        ((0.1, 0.1), -1e-9, "negative tolerance"),
-        ((0.1, 0.1), True, "boolean"),
-    ],
-)
-def test_region_contains_refuses_a_bad_point_or_tolerance(pt, tol, message):
-    # each of these used to answer True on this boundary
-    rb = map_region_boundary(4, 3)
-    with pytest.raises(ValueError, match=message):
-        region_contains(rb, pt, tol=tol)
-
-
 @pytest.mark.parametrize("boundary", [map_region_boundary, state_region_boundary])
 @pytest.mark.parametrize(
     "args,message",
@@ -978,53 +949,17 @@ def test_each_boundary_samples_its_arc_once_per_process(monkeypatch, capsys):
 
     monkeypatch.setattr(geometry, "conic_arc_points", counted)
     geometry._boundary.cache_clear()
+    geometry._witness_points.cache_clear()
     for n in (64, 256):
         rb = map_region_boundary(4, 3, arc_samples=n)
-        assert witness_points(4, 3, arc_samples=n) == list(geometry._polyline(rb).points)
+        traversal = [*rb.vertices, *rb.arcs[0].samples[1:-1]]
+        assert witness_points(4, 3, arc_samples=n).tolist() == [[*p] for p in traversal]
         for kind in ("map", "state", "map", "state"):
             argv = ["region", kind, "--d", "4", "--k", "3", "--samples", str(n), "--format", "json"]
             assert cli.main(argv) == 0
         assert state_region_boundary(4, 3, arc_samples=n) is state_region_boundary(4, 3, arc_samples=n)
     capsys.readouterr()
     assert calls == [64, 64, 256, 256]  # map then state, once each per sample count
-
-
-def _contains_reference(rb, pt, tol):
-    # the per-edge loop that the traced polyline replaces
-    pts = [(float(x), float(y)) for x, y in rb.vertices]
-    for arc in rb.arcs:
-        pts.extend((float(x), float(y)) for x, y in arc.samples[1:-1])
-    n = len(pts)
-    area2 = sum(pts[i][0] * pts[(i + 1) % n][1] - pts[(i + 1) % n][0] * pts[i][1] for i in range(n))
-    orient = 1.0 if area2 >= 0 else -1.0
-    x, y = float(pt[0]), float(pt[1])
-    for i in range(n):
-        (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % n]
-        cross = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
-        edge = math.hypot(x1 - x0, y1 - y0)
-        if edge > 0 and orient * cross < -tol * edge:
-            return False
-    return True
-
-
-@pytest.mark.parametrize("d,k", [(3, 2), (4, 3), (5, 1), (6, 4)])
-def test_region_contains_matches_the_per_edge_loop(d, k):
-    rng = np.random.default_rng(d * 10 + k)
-    pts = rng.uniform(-0.7, 1.2, size=(300, 2))
-    for rb in (map_region_boundary(d, k, arc_samples=33), state_region_boundary(d, k, arc_samples=33),
-               geometry.RegionBoundary(vertices=((0, 0), (0, 0), (1, 0), (1, 1)))):
-        # the corners, which lie on the boundary, and the traversal reversed
-        cases = [*map(tuple, pts), *rb.vertices]
-        flipped = geometry.RegionBoundary(vertices=tuple(reversed(geometry._polyline(rb).points)))
-        for tol in (0.0, 1e-9, 0.05):
-            for pt in cases:
-                for b in (rb, flipped):
-                    assert region_contains(b, pt, tol) == _contains_reference(b, pt, tol)
-    from schmidt_cone.oracles import witness_points
-
-    fresh = witness_points(d, k, arc_samples=33)
-    fresh.append(None)  # a fresh list: the kept polyline is not changed
-    assert witness_points(d, k, arc_samples=33) == fresh[:-1]
 
 
 @pytest.mark.parametrize(

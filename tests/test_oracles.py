@@ -588,7 +588,7 @@ def test_witness_grid_check_refuses_a_bad_band(band):
 
 
 def _witness_grid_violated(monkeypatch):
-    monkeypatch.setattr(oracles, "witness_points", lambda d, k, arc_samples=256: [(1.0, 0.0)])
+    monkeypatch.setattr(oracles, "witness_points", lambda d, k, arc_samples=256: np.array([(1.0, 0.0)]))
     return witness_grid_check(4, grid_n=20)
 
 
@@ -1139,7 +1139,7 @@ def test_every_public_d_and_k_goes_through_region_case(call, err):
 def test_witness_grid_check_names_its_first_mismatches_and_counts_the_rest(monkeypatch):
     # One witness point (1, 0) misses most violations: each k lists five
     # mismatched points, then {"k": k, "more": n} for the ones left unlisted.
-    monkeypatch.setattr(oracles, "witness_points", lambda d, k, arc_samples=256: [(1.0, 0.0)])
+    monkeypatch.setattr(oracles, "witness_points", lambda d, k, arc_samples=256: np.array([(1.0, 0.0)]))
     rep = witness_grid_check(4, grid_n=20)
     assert rep.verdict == "violated" and len(rep.witness) == 18
     assert rep.witness[-1] == {"k": 3, "more": 5}

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,12 +17,13 @@ from schmidt_cone.classify import (
     schmidt_number,
 )
 from schmidt_cone.geometry import (
+    map_region_boundary,
     map_region_vertices,
     region_case,
     region_margin,
     state_region_vertices,
 )
-from schmidt_cone.oracles import grid_agreement, witness_pairing
+from schmidt_cone.oracles import grid_agreement, witness_pairing, witness_points
 from schmidt_cone.symmetry import CovariantMap, InvariantState
 
 # rationals over the box that holds every region for d >= 2, small
@@ -172,3 +174,19 @@ def test_choi_duality_on_convex_combinations_of_corners(d, data):
 def test_grid_agreement_report_does_not_depend_on_the_worker_count(d, grid_n, n_random, seed):
     kwargs = dict(grid_n=grid_n, n_random=n_random, seed=seed)
     assert grid_agreement(d, workers=1, **kwargs).to_dict() == grid_agreement(d, workers=2, **kwargs).to_dict()
+
+
+@fast
+@given(all_dims, st.data(), st.integers(min_value=2, max_value=300))
+def test_witness_points_are_the_map_boundary_as_one_shared_read_only_array(d, data, arc_samples):
+    k = data.draw(st.integers(min_value=1, max_value=d))
+    pts = witness_points(d, k, arc_samples)
+    assert isinstance(pts, np.ndarray) and pts.dtype == float and pts.ndim == 2 and pts.shape[1] == 2
+    assert not pts.flags.writeable
+    rb = map_region_boundary(d, k, arc_samples)
+    traversal = [*rb.vertices, *(rb.arcs[0].samples[1:-1] if rb.arcs else ())]
+    assert pts.tolist() == [[*p] for p in traversal]
+    assert witness_points(d, k, arc_samples) is pts
+    assert witness_points(np.int64(d), np.int32(k), np.int64(arc_samples)) is pts
+    with pytest.raises(ValueError, match="arc_samples must be >= 2"):
+        witness_points(d, k, np.array(arc_samples))  # unhashable, refused before the cache
