@@ -1,4 +1,5 @@
 import hashlib
+import math
 import pickle
 import random
 import tracemalloc
@@ -20,6 +21,7 @@ from schmidt_cone.classify import (
 )
 from schmidt_cone.geometry import (
     HalfPlane,
+    RegionBoundary,
     kpos_conic,
     map_region_boundary,
     map_region_vertices,
@@ -460,6 +462,41 @@ def _inside_polyline(rb, x, y, tol):
         cross = dx * (y[r : r + 256, None] - y0) - dy * (x[r : r + 256, None] - x0)
         inside[r : r + 256] = ~(cross < -tol * length).any(axis=1)
     return inside
+
+
+def _inside_reference(rb, pt, tol):
+    # the per-edge loop over the same traversal, one point at a time
+    pts = [(float(x), float(y)) for x, y in rb.vertices]
+    for arc in rb.arcs:
+        pts.extend((float(x), float(y)) for x, y in arc.samples[1:-1])
+    n = len(pts)
+    area2 = sum(pts[i][0] * pts[(i + 1) % n][1] - pts[(i + 1) % n][0] * pts[i][1] for i in range(n))
+    orient = 1.0 if area2 >= 0 else -1.0
+    x, y = float(pt[0]), float(pt[1])
+    for i in range(n):
+        (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % n]
+        cross = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
+        edge = math.hypot(x1 - x0, y1 - y0)
+        if edge > 0 and orient * cross < -tol * edge:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("d,k", [(3, 2), (4, 3), (5, 1), (6, 4)])
+def test_inside_polyline_matches_the_per_edge_loop(d, k):
+    # the figure test's containment helper, checked against the loop it vectorises
+    rng = np.random.default_rng(d * 10 + k)
+    pts = rng.uniform(-0.7, 1.2, size=(300, 2))
+    for rb in (map_region_boundary(d, k, arc_samples=33), state_region_boundary(d, k, arc_samples=33),
+               RegionBoundary(vertices=((0, 0), (0, 0), (1, 0), (1, 1)))):
+        # the corners, which lie on the boundary, and the traversal reversed
+        cases = np.array([*pts, *rb.vertices], dtype=float)
+        traversal = [*rb.vertices, *(p for arc in rb.arcs for p in arc.samples[1:-1])]
+        flipped = RegionBoundary(vertices=tuple(reversed(traversal)))
+        for tol in (0.0, 1e-9, 0.05):
+            for b in (rb, flipped):
+                expected = [_inside_reference(b, pt, tol) for pt in cases]
+                assert _inside_polyline(b, cases[:, 0], cases[:, 1], tol).tolist() == expected
 
 
 def test_figure_concordance_d4():

@@ -458,6 +458,31 @@ def test_witness_points_refuse_fewer_than_two_arc_samples(k, arc_samples):
         witness_violation_search(InvariantState(4, 0.3, 0.0), k, arc_samples=arc_samples)
 
 
+@pytest.mark.parametrize(
+    "arc_samples",
+    [np.array(64), np.array([64]), True, np.bool_(True), 2.5, np.float64(64.0), "64", None],
+    ids=["0-d-array", "1-d-array", "bool", "numpy-bool", "float", "numpy-float", "str", "None"],
+)
+def test_witness_points_refuse_a_sample_count_that_is_not_an_integer(arc_samples):
+    # refused with ValueError before the cache lookup, which would hash an array
+    with pytest.raises(ValueError, match="arc_samples must be >= 2"):
+        witness_points(4, 3, arc_samples=arc_samples)
+    with pytest.raises(ValueError, match="arc_samples must be >= 2"):
+        witness_violation_search(InvariantState(4, 0.3, 0.0), 3, arc_samples=arc_samples)
+
+
+def test_witness_search_and_grid_check_read_the_shared_points_as_they_are():
+    # both read the one cached array of each k; none is copied, changed or replaced
+    kept = {k: witness_points(4, k) for k in range(1, 5)}
+    before = {k: pts.copy() for k, pts in kept.items()}
+    for k in range(1, 5):
+        witness_violation_search(InvariantState(4, 0.3, -0.2), k)
+    assert witness_grid_check(4, grid_n=20).verdict == "consistent"
+    for k, pts in kept.items():
+        assert witness_points(4, k) is pts and not pts.flags.writeable
+        assert np.array_equal(pts, before[k])
+
+
 def test_falsifier_on_identity_finds_nothing():
     assert block_positivity_falsifier(np.eye(9), 2, iters=30, seed=0) is None
 
