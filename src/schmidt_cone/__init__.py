@@ -10,11 +10,8 @@ from .classify import (
     KPositivityProfile,
     MembershipVerdict,
     StateClassification,
-    SuperpositivityProfile,
     is_k_positive,
-    k_block_positivity_max,
     k_positivity_max,
-    k_superpositivity_max,
     schmidt_membership,
     schmidt_number,
 )
@@ -22,7 +19,6 @@ from .geometry import (
     Conic,
     HalfPlane,
     RegionBoundary,
-    conic_through_five_points,
     dual_conic,
     dual_tangency_points,
     dual_tangent_lines,

@@ -207,10 +207,17 @@ class Conic(namedtuple("Conic", "A B C D E F")):
 
         Classified by the sign of B^2 - 4AC, with degeneracy decided by the
         determinant of the full 3x3 matrix of the quadratic form, each compared
-        in floats within 1e-12 times the largest coefficient to its degree;
-        int/Fraction coefficients take the same comparisons at tolerance 0.
+        within 1e-12 on float coefficients scaled to a largest magnitude of 1,
+        as ``as_float`` scales them, so no power of a large coefficient
+        overflows; int/Fraction coefficients take the same comparisons
+        unscaled at tolerance 0.
         """
         A, B, C, D, E, F = self
+        tol = 0
+        if not _is_exact(*self):
+            tol, coeffs = 1e-12, [float(v) for v in self]
+            scale = max(abs(v) for v in coeffs) or 1.0  # an all-zero conic stays degenerate
+            A, B, C, D, E, F = (v / scale for v in coeffs)
         disc = B * B - 4 * A * C
         # determinant of [[2A, B, D], [B, 2C, E], [D, E, 2F]]
         det3 = (
@@ -218,14 +225,11 @@ class Conic(namedtuple("Conic", "A B C D E F")):
             - B * (2 * B * F - D * E)
             + D * (B * E - 2 * C * D)
         )
-        tol, num = (0, Fraction) if _is_exact(*self) else (1e-12, float)
-        scale = max(abs(num(v)) for v in self)
-        quadratic = max(abs(num(A)), abs(num(B)), abs(num(C)))
-        if quadratic <= tol * scale or abs(num(det3)) <= tol * scale**3:
+        if max(abs(A), abs(B), abs(C)) <= tol or abs(det3) <= tol:
             return "degenerate"
-        if num(disc) < -tol * scale**2:
+        if disc < -tol:
             return "ellipse"
-        if num(disc) > tol * scale**2:
+        if disc > tol:
             return "hyperbola"
         return "parabola"
 

@@ -166,6 +166,19 @@ def test_float_classification_agrees_with_exact_on_every_region_conic():
     assert {c.classify() for c in conics} == {"degenerate", "ellipse", "hyperbola"}
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e308, 1e-200, 1e-300])
+def test_float_classification_does_not_depend_on_the_scale(scale):
+    # the tolerances were powers of the largest coefficient: at 1e200 its cube
+    # raised OverflowError, and at 1e-200 the determinant underflowed to 0,
+    # so every conic read as degenerate
+    shapes = {(1, 0, 1, 0, 0, -1): "ellipse", (1, 0, -1, 0, 0, -1): "hyperbola",
+              (0, 0, 1, -1, 0, 0): "parabola", (1, 0, -1, 0, 0, 0): "degenerate"}
+    for coeffs, shape in shapes.items():
+        assert Conic(*coeffs).classify() == shape
+        assert Conic(*(scale * c for c in coeffs)).classify() == shape
+    assert Conic(*[0.0] * 6).classify() == "degenerate"
+
+
 def test_float_case3_conics_are_shared_and_unchanged():
     # built once per (d, k) and shared, equal to a fresh float conversion of
     # the exact conic, so float margins keep every bit
