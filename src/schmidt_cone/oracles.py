@@ -32,7 +32,8 @@ from .classify import _BLOCK, is_k_positive, kpos_margin_grid, schmidt_margin_gr
 from .geometry import _check_counts, _check_finite, _check_tolerances, _finite_array, _is_exact
 from .geometry import _witness_points, region_case, state_region_vertices
 from .linalg import _as_bipartite_hermitian, _haar_qr
-from .symmetry import CovariantMap, InvariantState, apply_channel_right, twirl_exact, twirl_monte_carlo
+from .symmetry import _PHILOX_KEYS, CovariantMap, InvariantState, apply_channel_right
+from .symmetry import twirl_exact, twirl_monte_carlo
 
 __all__ = [
     "Frame",
@@ -813,6 +814,9 @@ def twirl_consistency(
     region_case(d, 1)
     _check_counts(0, seed=seed)
     _check_counts(1, n_ops=n_ops, n_samples=n_samples)
+    seed = int(seed)  # operator i twirls with key seed * 1000 + i, which overflows a numpy integer
+    if seed * 1000 + n_ops - 1 >= _PHILOX_KEYS:
+        raise ValueError(f"seed * 1000 + n_ops - 1 must be < 2**128 (Philox keys), got seed {seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7, d)))
     worst = 0.0
     worst_op = None

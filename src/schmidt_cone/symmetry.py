@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 MC_CHUNK = 1024  # fixed Monte-Carlo chunk size; part of the determinism contract
+_PHILOX_KEYS = 2**128  # a Philox key is a count below this
 
 
 @dataclass(frozen=True)
@@ -163,15 +164,20 @@ def twirl_monte_carlo(X, n_samples: int, seed: int = 0) -> np.ndarray:
     Deterministic given (seed, n_samples): sampling is split into fixed-size
     chunks, each driven by an independent counter-based Philox stream keyed by
     (seed, chunk index), and partial sums are accumulated in chunk order.  The
-    result therefore does not depend on how chunks might be scheduled.
+    result therefore does not depend on how chunks might be scheduled.  The
+    seed is a count below 2**128, the Philox key range.
 
-    A chunk's sum is two real GEMMs, in a fixed order, over the stacked
-    K_i = O_i x O_i with [Re X; Im X] as one operand: first X K_i^T for every
-    i side by side, then the sum over i and the inner index as one
-    contraction of length m d^2.
+    A chunk's sum is two real GEMMs, in a fixed order, over the stack
+    L[x, z, i] = K_i[x, z] of K_i = O_i x O_i, sample index innermost, with
+    [Re X; Im X] as one operand: one batched product gives X K_i^T for every
+    i, and one product of L with a transposed view of that result sums over
+    i and the inner index, a contraction of length m d^2.  No copy of K or
+    of X K^T is made.
     """
     _check_counts(1, n_samples=n_samples)
     _check_counts(0, seed=seed)
+    if seed >= _PHILOX_KEYS:
+        raise ValueError(f"seed must be < 2**128 (Philox keys), got {seed!r}")
     X, d = _as_bipartite_hermitian(X)
     d2 = d * d
     parts = np.concatenate([X.real, X.imag])  # (2 d^2, d^2)
@@ -181,11 +187,11 @@ def twirl_monte_carlo(X, n_samples: int, seed: int = 0) -> np.ndarray:
     while done < n_samples:
         m = min(MC_CHUNK, n_samples - done)
         O = haar_orthogonal_batch(d, m, _chunk_rng(seed, chunk_index))
-        # K[i, (a, b), (c, e)] = O_i[a, c] O_i[b, e], and L is K with the sample index i last
-        K = (O[:, :, None, :, None] * O[:, None, :, None, :]).reshape(m * d2, d2)
-        L = np.ascontiguousarray(K.reshape(m, d2, d2).transpose(1, 2, 0)).reshape(d2, d2 * m)
-        XKt = parts @ K.T  # [(part, row), (i, col)] = (X_part K_i^T)[row, col]
-        total += np.matmul(L, XKt.reshape(2, d2 * m, d2))
+        Ot = np.ascontiguousarray(O.transpose(1, 2, 0))  # Ot[a, c, i] = O_i[a, c]
+        # L[(a, b), (c, e), i] = O_i[a, c] O_i[b, e] = K_i[(a, b), (c, e)], the sample index i last
+        L = (Ot[:, None, :, None, :] * Ot[None, :, None, :, :]).reshape(d2, d2, m)
+        T = np.matmul(parts, L).reshape(d2, 2, d2 * m)  # T[col, (part, row), i] = (X_part K_i^T)[row, col]
+        total += np.matmul(L.reshape(d2, d2 * m), T.transpose(1, 2, 0))
         done += m
         chunk_index += 1
     return (total[0] + 1j * total[1]) / n_samples

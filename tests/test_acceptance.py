@@ -1,9 +1,11 @@
 """Acceptance gate: each criterion at its stated tolerance, one line printed per criterion.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the pass lines; the
-full protocol takes 59 to 61 s on 2 CPUs of an Intel Xeon (Python 3.11.7,
-numpy 2.4.6), most of it the 200x200 frame-compression grid of criterion 2
-(46 to 48 s), which parallelizes over SCHMIDT_CONE_THREADS workers.
+full protocol took 90 to 104 s on 2 CPUs of an Intel Xeon (Python 3.11.7,
+numpy 2.4.6) in a slow spell of a shared machine, most of it the 200x200
+frame-compression grid of criterion 2 (77 to 90 s, against 46 to 48 s in a
+quiet spell), which parallelizes over SCHMIDT_CONE_THREADS workers.
+Criterion 7, forty Monte-Carlo twirls of 100,000 samples, took 10 to 14 s.
 """
 
 import time

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from schmidt_cone import oracles
+from schmidt_cone import oracles, symmetry
 from schmidt_cone.classify import is_k_positive, kpos_margin_grid, schmidt_margin_grid
 from schmidt_cone.geometry import kpos_conic, map_region_boundary, map_region_vertices
 from schmidt_cone.geometry import pairing_map, pairing_map_inv, witness_halfplane
@@ -602,6 +602,39 @@ def test_every_seeded_entry_point_refuses_a_seed_that_is_not_a_count(entry, seed
     # non-negative integer"; True ran as seed 1, and 1.5 ran the Monte-Carlo twirl
     with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed!r}"):
         _SEEDED[entry](seed)
+
+
+# for each twirl entry, the smallest seed whose Philox keys leave the range below 2**128
+_PAST_THE_KEYS = {
+    "twirl_consistency": -(-(2**128) // 1000),  # operator 0 of 1 twirls with key seed * 1000
+    "twirl_monte_carlo": 2**128,
+}
+
+
+@pytest.mark.parametrize("entry", list(_PAST_THE_KEYS))
+def test_the_twirl_entry_points_refuse_a_seed_past_the_philox_keys(entry, monkeypatch):
+    # 10**39 reached numpy's unnamed "key must be positive and less than
+    # 2**128" only after work had begun: twirl_consistency had built and
+    # projected its first operator
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the seed was checked")
+
+    monkeypatch.setattr(oracles, "twirl_exact", no_work)
+    monkeypatch.setattr(symmetry, "haar_orthogonal_batch", no_work)
+    seed = _PAST_THE_KEYS[entry]
+    for refused in (seed, 10**39):
+        with pytest.raises(ValueError, match=f"got (seed )?{refused!r}$"):
+            _SEEDED[entry](refused)
+    monkeypatch.undo()
+    _SEEDED[entry](seed - 1)  # the largest seed whose keys all fit still runs
+
+
+def test_twirl_consistency_takes_a_numpy_seed_whose_keys_pass_its_range():
+    # np.int64(10**16) * 1000 wrapped to a negative Philox key
+    seed = 10**16
+    assert twirl_consistency(2, n_ops=2, n_samples=10, seed=np.int64(seed)) == twirl_consistency(
+        2, n_ops=2, n_samples=10, seed=seed
+    )
 
 
 @pytest.mark.parametrize("band", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12, True])

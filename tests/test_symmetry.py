@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import schmidt_cone
 from schmidt_cone.linalg import flip, max_entangled, pairing
 from schmidt_cone.symmetry import (
     CovariantMap,
@@ -240,7 +246,7 @@ def test_twirl_monte_carlo_deterministic():
     assert not np.array_equal(out1, out3)
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("n_samples", [1, 1024, 2500])
 def test_twirl_monte_carlo_matches_a_per_sample_sum(d, n_samples):
     """The chunked GEMMs equal sum_i K_i X K_i^T over the same Haar draws.
@@ -258,6 +264,43 @@ def test_twirl_monte_carlo_matches_a_per_sample_sum(d, n_samples):
             ref += K @ X @ K.T
     ref /= n_samples
     assert np.max(np.abs(twirl_monte_carlo(X, n_samples, seed=7) - ref)) <= 1e-13
+
+
+# Hashes twirls at d = 2..5, three sample counts and two seeds, then prints the digest.
+_TWIRL_DIGEST = """
+import hashlib
+import numpy as np
+from schmidt_cone.symmetry import twirl_monte_carlo
+rng = np.random.default_rng(14)
+h = hashlib.sha256()
+for d in (2, 3, 4, 5):
+    g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    X = (g + g.conj().T) / 2
+    for n_samples in (1, 1024, 2500):
+        for seed in (0, 9):
+            h.update(twirl_monte_carlo(X, n_samples, seed=seed).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_twirl_monte_carlo_matches_the_pinned_digest():
+    """Twirls at d = 2..5, n = 1, 1024 and 2500 and two seeds hash to a pinned digest.
+
+    The digest was computed on the chunk layout that keeps the sample index
+    innermost in L[x, z, i] = K_i[x, z] and reads X K_i^T transposed in the
+    last product, with scipy-openblas 0.3.31 on one thread.  A change of
+    layout moves the last bits of the sums, so it has to be declared here
+    rather than pass unseen.  The hash runs in a fresh interpreter held to
+    one BLAS thread: with more, OpenBLAS may split the length-m d^2
+    contraction of a partial chunk and move its last bits.
+    """
+    src = str(Path(schmidt_cone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TWIRL_DIGEST], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert proc.stdout.strip() == "561df9a5b40b4459cd022f88fb33421447ed4260212edddd8aa23373e2bff968"
 
 
 def test_monte_carlo_rejects_bad_sample_count():
